@@ -5,6 +5,11 @@
 //! server-level re-Yen per server pair (kept here as the oracle
 //! provider). All variants are bit-identical in output (pinned by
 //! `route_equivalence`); this measures the wall-clock they trade.
+//!
+//! The `route_plane/ecmp_*` group does the same for ECMP: per-flow
+//! route calls over a k=16 fat-tree permutation, the old per-pair
+//! enumeration (every equal-cost path built and interned) against the
+//! DAG-unranking `EcmpProvider` (pinned equal by `ecmp_unrank`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use flat_tree::PodMode;
@@ -12,12 +17,50 @@ use flowsim::provider::{PathProvider, RoutedConn};
 use flowsim::sim::FlowSpec;
 use flowsim::{simulate_with_provider, FailedLinks, LinkFailure, SimConfig, Transport};
 use ft_bench::experiments::common;
-use netgraph::{yen, Graph, LinkId, PathArena};
+use netgraph::{ecmp, yen, Graph, LinkId, NodeId, PathArena, PathId};
 use routing::SharedRouteTable;
 use std::collections::HashMap;
 use std::hint::black_box;
 use std::sync::Arc;
-use topology::DcNetwork;
+use topology::{fat_tree, DcNetwork};
+
+/// The pre-unranking ECMP provider, fault-free: enumerate the pair's
+/// whole equal-cost set, intern every member, hash-select one.
+#[derive(Default)]
+struct EnumerationOracle {
+    cache: HashMap<(NodeId, NodeId), Vec<PathId>>,
+}
+
+impl PathProvider for EnumerationOracle {
+    fn route(
+        &mut self,
+        g: &Graph,
+        arena: &mut PathArena,
+        _failed: &FailedLinks,
+        spec: &FlowSpec,
+    ) -> Option<RoutedConn> {
+        let set = self
+            .cache
+            .entry((spec.src, spec.dst))
+            .or_insert_with(|| arena.intern_all(&ecmp::equal_cost_paths(g, spec.src, spec.dst)));
+        let h = ecmp::flow_hash(spec.src, spec.dst, spec.id);
+        let chosen = *set.get((h % set.len().max(1) as u64) as usize)?;
+        Some(RoutedConn {
+            path_ids: vec![chosen],
+            subflow_weight: 1.0,
+        })
+    }
+}
+
+/// Routes every flow once through `p` into a fresh arena.
+fn route_all(g: &Graph, flows: &[FlowSpec], p: &mut dyn PathProvider) -> usize {
+    let mut arena = PathArena::new();
+    let failed = FailedLinks::new(g.link_count());
+    for f in flows {
+        black_box(p.route(g, &mut arena, &failed, f));
+    }
+    arena.len()
+}
 
 /// The pre-fix behavior under failures, as a provider: a from-scratch
 /// masked server-level Yen run per server pair, per failure epoch.
@@ -89,6 +132,17 @@ fn workload(net: &DcNetwork, rounds: u64) -> Vec<flowsim::FlowSpec> {
 }
 
 fn bench(c: &mut Criterion) {
+    // ECMP route calls over a k=16 fat-tree permutation (1,024 flows,
+    // 64 equal-cost paths per inter-pod pair).
+    let fat = fat_tree(16).build().net;
+    let ecmp_flows = workload(&fat, 1);
+    c.bench_function("route_plane/ecmp_enumerate_k16", |b| {
+        b.iter(|| route_all(&fat.graph, &ecmp_flows, &mut EnumerationOracle::default()));
+    });
+    c.bench_function("route_plane/ecmp_unrank_k16", |b| {
+        b.iter(|| route_all(&fat.graph, &ecmp_flows, &mut flowsim::EcmpProvider::new()));
+    });
+
     let ft = common::flat_tree_over(common::mini_topo(1));
     let net = common::instance(&ft, PodMode::Global).net;
     let g = &net.graph;

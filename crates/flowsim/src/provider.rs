@@ -48,37 +48,27 @@ pub trait PathProvider {
 /// ECMP + single-path TCP: hash-selects among the surviving equal-cost
 /// shortest paths, falling back to any surviving path.
 ///
-/// Caches the surviving equal-cost set (and the fallback path) per
-/// server pair; the per-flow hash then picks from the cached set, so
-/// only the first flow of a pair in each failure epoch pays for path
-/// enumeration.
+/// Routes by unranking over per-destination shortest-path DAGs
+/// ([`ecmp::EcmpDags`]): each destination switch's DAG is counted once,
+/// and each flow walks straight to its hash-selected member, so only
+/// the path the flow uses is built and interned. Under failures the
+/// hash runs modulo the survivor count, recounted lazily per
+/// destination switch per failure epoch; when no equal-cost path
+/// survives, the failure-aware shortest path is cached per server pair
+/// for the epoch. A provider serves the graph it first routes on.
 #[derive(Debug, Default)]
 pub struct EcmpProvider {
-    cache: HashMap<(NodeId, NodeId), EcmpEntry>,
+    dags: Option<ecmp::EcmpDags>,
+    /// Failure-aware shortest paths for pairs whose whole equal-cost
+    /// set is down, this epoch (`None` = disconnected).
+    fallback: HashMap<(NodeId, NodeId), Option<PathId>>,
     epoch: u64,
-}
-
-#[derive(Debug)]
-struct EcmpEntry {
-    /// Equal-cost shortest paths with every link up, in the enumeration
-    /// order `ecmp::equal_cost_paths` produces.
-    alive: Vec<PathId>,
-    /// Lazily computed failure-aware shortest path, used when the whole
-    /// equal-cost set is down. `None` = not yet computed.
-    fallback: Option<Option<PathId>>,
 }
 
 impl EcmpProvider {
     /// Creates an empty provider.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn refresh(&mut self, epoch: u64) {
-        if self.epoch != epoch {
-            self.cache.clear();
-            self.epoch = epoch;
-        }
     }
 }
 
@@ -90,40 +80,36 @@ impl PathProvider for EcmpProvider {
         failed: &FailedLinks,
         spec: &FlowSpec,
     ) -> Option<RoutedConn> {
-        self.refresh(failed.epoch());
-        let entry = self
-            .cache
-            .entry((spec.src, spec.dst))
-            .or_insert_with(|| EcmpEntry {
-                alive: ecmp::equal_cost_paths(g, spec.src, spec.dst)
-                    .into_iter()
-                    .filter(|p| failed.path_alive(&p.links))
-                    .map(|p| arena.intern(p))
-                    .collect(),
-                fallback: None,
-            });
-        let chosen = if entry.alive.is_empty() {
+        let dags = self.dags.get_or_insert_with(|| ecmp::EcmpDags::new(g));
+        if self.epoch != failed.epoch() {
+            dags.set_down(&failed.down_links());
+            self.fallback.clear();
+            self.epoch = failed.epoch();
+        }
+        // Hash modulo the *survivor* count. With every link up this is
+        // exactly `ecmp::select_by_hash` over `ecmp::equal_cost_paths`;
+        // under failures the flows rehash over the k' survivors (a flow
+        // can move even when its own path survived), spreading load
+        // uniformly instead of piling displaced flows onto hash-adjacent
+        // survivors. Pinned by `ecmp_failure_epoch_hashes_modulo_survivors`.
+        let chosen = match dags.select(g, spec.src, spec.dst, spec.id) {
+            Some(p) => arena.intern(p),
             // Equal-cost set fully failed: any surviving path.
-            (*entry.fallback.get_or_insert_with(|| {
-                dijkstra::shortest_path_by(g, spec.src, spec.dst, |l| {
-                    if failed.is_down(l) {
-                        f64::INFINITY
-                    } else {
-                        1.0
-                    }
-                })
-                .map(|(_, p)| arena.intern(p))
-            }))?
-        } else {
-            // Hash modulo the *survivor* set. With every link up this is
-            // exactly `ecmp::select_by_hash`; under failures the flows
-            // rehash over the k' survivors (a flow can move even when its
-            // own path survived), spreading load uniformly instead of
-            // piling displaced flows onto hash-adjacent survivors. Pinned
-            // by `ecmp_failure_epoch_hashes_modulo_survivors`.
-            let i =
-                (ecmp::flow_hash(spec.src, spec.dst, spec.id) % entry.alive.len() as u64) as usize;
-            entry.alive[i]
+            None => {
+                (*self
+                    .fallback
+                    .entry((spec.src, spec.dst))
+                    .or_insert_with(|| {
+                        dijkstra::shortest_path_by(g, spec.src, spec.dst, |l| {
+                            if failed.is_down(l) {
+                                f64::INFINITY
+                            } else {
+                                1.0
+                            }
+                        })
+                        .map(|(_, p)| arena.intern(p))
+                    }))?
+            }
         };
         Some(RoutedConn {
             path_ids: vec![chosen],

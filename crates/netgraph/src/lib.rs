@@ -7,8 +7,9 @@
 //!
 //! * [`dijkstra`] — single-source shortest paths (hop count or weighted),
 //! * [`yen`] — Yen's k-shortest loopless paths (the paper routes on these),
-//! * [`ecmp`] — enumeration of equal-cost shortest paths and deterministic
-//!   hash-based path selection (the Clos/ECMP baseline of §5.2),
+//! * [`ecmp`] — deterministic hash-based selection among equal-cost
+//!   shortest paths by unranking over per-destination shortest-path DAGs
+//!   (the Clos/ECMP baseline of §5.2),
 //! * [`metrics`] — diameter and average shortest-path length (§3.4 uses the
 //!   average server-pair path length to profile the `(m, n)` split).
 //!

@@ -58,8 +58,9 @@ proptest! {
         }
     }
 
-    /// Every enumerated equal-cost path has exactly the shortest length and
-    /// the hash selection always lands inside the set.
+    /// Every equal-cost path has exactly the shortest length, the
+    /// unranked set is the enumerated one in order, and the hash
+    /// selection always lands inside it.
     #[test]
     fn ecmp_invariants(n in 4usize..20, extra in 0usize..16, seed in any::<u64>()) {
         let g = random_connected(n, extra, seed);
@@ -72,8 +73,13 @@ proptest! {
             prop_assert_eq!(p.len(), spl);
             prop_assert!(p.validate(&g).is_ok());
         }
+        let mut dags = ecmp::EcmpDags::new(&g);
+        prop_assert_eq!(dags.count(&g, src, dst), paths.len() as u128);
+        for (i, p) in paths.iter().enumerate() {
+            prop_assert_eq!(dags.path(&g, src, dst, i as u128), Some(p.clone()));
+        }
         for fid in 0..8u64 {
-            let chosen = ecmp::ecmp_path(&g, src, dst, fid).unwrap();
+            let chosen = dags.select(&g, src, dst, fid).unwrap();
             prop_assert!(paths.contains(&chosen));
         }
     }
