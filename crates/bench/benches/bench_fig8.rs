@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use flat_tree::PodMode;
-use flowsim::{simulate, SimConfig, Transport};
+use flowsim::{run, RunOpts, SimConfig, Transport};
 use ft_bench::experiments::common;
 use topology::ClosParams;
 use traffic::traces::TraceParams;
@@ -27,18 +27,17 @@ fn bench(c: &mut Criterion) {
         .collect();
     c.bench_function("fig8/fct_simulation_web_mini", |b| {
         b.iter(|| {
-            simulate(
-                &inst.net.graph,
-                &flows,
-                &SimConfig {
-                    transport: Transport::Mptcp {
-                        k: 8,
-                        coupled: true,
-                    },
-                    ..SimConfig::default()
+            let cfg = SimConfig {
+                transport: Transport::Mptcp {
+                    k: 8,
+                    coupled: true,
                 },
-            )
-            .mean_fct()
+                ..SimConfig::default()
+            };
+            run(&inst.net.graph, &flows, &cfg, RunOpts::default())
+                .expect("valid workload")
+                .result
+                .mean_fct()
         });
     });
     c.bench_function("fig8/trace_synthesis", |b| {

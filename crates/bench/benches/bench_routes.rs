@@ -15,7 +15,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use flat_tree::PodMode;
 use flowsim::provider::{PathProvider, RoutedConn};
 use flowsim::sim::FlowSpec;
-use flowsim::{simulate_with_provider, FailedLinks, LinkFailure, SimConfig, Transport};
+use flowsim::{run, FailedLinks, LinkFailure, RunOpts, SimConfig, Transport};
 use ft_bench::experiments::common;
 use netgraph::{ecmp, yen, Graph, LinkId, NodeId, PathArena, PathId};
 use routing::SharedRouteTable;
@@ -104,6 +104,20 @@ impl PathProvider for ServerLevelOracle {
     }
 }
 
+/// Simulates `flows` with routes from `p`.
+fn run_with(
+    g: &Graph,
+    flows: &[FlowSpec],
+    cfg: &SimConfig,
+    p: &mut dyn PathProvider,
+) -> flowsim::SimResult {
+    let opts = RunOpts {
+        provider: Some(p),
+        ..RunOpts::default()
+    };
+    run(g, flows, cfg, opts).expect("valid workload").result
+}
+
 fn first_cable(g: &Graph) -> LinkId {
     g.link_ids()
         .find(|&l| {
@@ -189,13 +203,13 @@ fn bench(c: &mut Criterion) {
     c.bench_function("sim_mptcp8_failure/switch_level_shared", |b| {
         b.iter(|| {
             let mut p = flowsim::provider::MptcpProvider::with_shared(shared.clone(), true);
-            black_box(simulate_with_provider(g, &flows, &cfg, &mut p))
+            black_box(run_with(g, &flows, &cfg, &mut p))
         });
     });
     c.bench_function("sim_mptcp8_failure/switch_level_lazy", |b| {
         b.iter(|| {
             let mut p = flowsim::provider::MptcpProvider::new(k, true);
-            black_box(simulate_with_provider(g, &flows, &cfg, &mut p))
+            black_box(run_with(g, &flows, &cfg, &mut p))
         });
     });
     c.bench_function("sim_mptcp8_failure/server_level_oracle", |b| {
@@ -205,7 +219,7 @@ fn bench(c: &mut Criterion) {
                 cache: HashMap::new(),
                 epoch: 0,
             };
-            black_box(simulate_with_provider(g, &flows, &cfg, &mut p))
+            black_box(run_with(g, &flows, &cfg, &mut p))
         });
     });
 }

@@ -1,5 +1,5 @@
 //! Criterion bench for the simulation engine refactor: the interned-path
-//! event loop (`flowsim::simulate`) against the preserved pre-refactor
+//! event loop (`flowsim::run`) against the preserved pre-refactor
 //! engine (`flowsim::reference::simulate_reference`) on the same
 //! mini-topo-1 permutation workload, with and without a mid-run cable
 //! failure. The two produce bit-identical results (pinned by
@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use flat_tree::PodMode;
 use flowsim::reference::simulate_reference;
-use flowsim::{simulate, LinkFailure, SimConfig, Transport};
+use flowsim::{run, LinkFailure, RunOpts, SimConfig, Transport};
 use ft_bench::experiments::common;
 use mcf::{AllocWorkspace, IncrementalAllocator};
 use netgraph::{Graph, LinkId};
@@ -148,13 +148,23 @@ fn bench(c: &mut Criterion) {
             ..cfg.clone()
         };
         c.bench_function(&format!("simcore/engine_{tname}"), |b| {
-            b.iter(|| simulate(&net.graph, &flows, &cfg).end_time);
+            b.iter(|| {
+                run(&net.graph, &flows, &cfg, RunOpts::default())
+                    .expect("valid workload")
+                    .result
+                    .end_time
+            });
         });
         c.bench_function(&format!("simcore/reference_{tname}"), |b| {
             b.iter(|| simulate_reference(&net.graph, &flows, &cfg).end_time);
         });
         c.bench_function(&format!("simcore/engine_{tname}_failure"), |b| {
-            b.iter(|| simulate(&net.graph, &flows, &cfg_fail).end_time);
+            b.iter(|| {
+                run(&net.graph, &flows, &cfg_fail, RunOpts::default())
+                    .expect("valid workload")
+                    .result
+                    .end_time
+            });
         });
         c.bench_function(&format!("simcore/reference_{tname}_failure"), |b| {
             b.iter(|| simulate_reference(&net.graph, &flows, &cfg_fail).end_time);

@@ -25,8 +25,8 @@
 
 use flat_tree::PodMode;
 use flowsim::{
-    try_simulate_traced, try_simulate_with_provider_traced, AllocTelemetry, FaultSchedule,
-    LinkFailure, MptcpProvider, SimConfig, TraceEvent, TraceSink, Transport,
+    run, AllocTelemetry, LinkFailure, MptcpProvider, PathProvider, RunOpts, SimConfig, TraceEvent,
+    TraceSink, Transport,
 };
 use ft_bench::dispatch::{self, DispatchConfig};
 use ft_bench::experiments::{common, faultsweep};
@@ -55,13 +55,30 @@ impl TraceSink for CountingSink {
 }
 
 /// How a workload obtains routes: the lazy per-arrival provider that
-/// `simulate` wires by default, or MPTCP over a prebuilt shared table.
+/// `run` wires by default, or MPTCP over a prebuilt shared table.
 enum Routing {
     Lazy,
     SharedMptcp {
         table: Arc<SharedRouteTable>,
         coupled: bool,
     },
+}
+
+impl Routing {
+    /// A fresh provider for one run; `None` means the default one.
+    fn provider(&self) -> Option<MptcpProvider> {
+        match self {
+            Routing::Lazy => None,
+            Routing::SharedMptcp { table, coupled } => {
+                Some(MptcpProvider::with_shared(table.clone(), *coupled))
+            }
+        }
+    }
+}
+
+/// The provider slot of [`RunOpts`] for a [`Routing::provider`].
+fn as_dyn(p: &mut Option<MptcpProvider>) -> Option<&mut dyn PathProvider> {
+    p.as_mut().map(|p| p as &mut dyn PathProvider)
 }
 
 fn first_cable(g: &Graph) -> LinkId {
@@ -164,46 +181,40 @@ fn measure_sim(
     reps: u32,
 ) -> Snapshot {
     let mut counter = CountingSink(0);
-    match routing {
-        Routing::Lazy => {
-            try_simulate_traced(&net.graph, flows, cfg, &mut counter).expect("valid workload");
-        }
-        Routing::SharedMptcp { table, coupled } => {
-            let mut prov = MptcpProvider::with_shared(table.clone(), *coupled);
-            try_simulate_with_provider_traced(&net.graph, flows, cfg, &mut prov, &mut counter)
-                .expect("valid workload");
-        }
-    }
+    let mut prov = routing.provider();
+    let opts = RunOpts {
+        provider: as_dyn(&mut prov),
+        faults: None,
+        telemetry: None,
+        sink: &mut counter,
+    };
+    run(&net.graph, flows, cfg, opts).expect("valid workload");
     let mut best_ms = f64::INFINITY;
     for _ in 0..reps.max(1) {
         let t0 = Instant::now();
-        let out = match routing {
-            Routing::Lazy => flowsim::simulate(&net.graph, flows, cfg),
-            Routing::SharedMptcp { table, coupled } => {
-                let mut prov = MptcpProvider::with_shared(table.clone(), *coupled);
-                flowsim::simulate_with_provider(&net.graph, flows, cfg, &mut prov)
-            }
+        let mut prov = routing.provider();
+        let opts = RunOpts {
+            provider: as_dyn(&mut prov),
+            ..RunOpts::default()
         };
+        let out = run(&net.graph, flows, cfg, opts).expect("valid workload");
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        std::hint::black_box(out.end_time);
+        std::hint::black_box(out.result.end_time);
         best_ms = best_ms.min(wall_ms);
     }
-    // Untimed telemetry pass for shared-table workloads: same engine
-    // path plus the fault auditor, so it is never the timed run.
+    // Untimed telemetry pass for shared-table workloads, so the
+    // counters never cost the timed run anything.
     let alloc = match routing {
         Routing::Lazy => None,
-        Routing::SharedMptcp { table, coupled } => {
+        Routing::SharedMptcp { .. } => {
             let mut tel = AllocTelemetry::default();
-            let mut prov = MptcpProvider::with_shared(table.clone(), *coupled);
-            flowsim::simulate_with_telemetry(
-                &net.graph,
-                flows,
-                cfg,
-                &FaultSchedule::default(),
-                &mut prov,
-                &mut tel,
-            )
-            .expect("valid workload");
+            let mut prov = routing.provider();
+            let opts = RunOpts {
+                provider: as_dyn(&mut prov),
+                telemetry: Some(&mut tel),
+                ..RunOpts::default()
+            };
+            run(&net.graph, flows, cfg, opts).expect("valid workload");
             Some(tel)
         }
     };

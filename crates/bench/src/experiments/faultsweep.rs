@@ -29,7 +29,7 @@ use crate::Scale;
 use control::resilient::RetryPolicy;
 use flat_tree::{ConverterConfig, FlatTree, ModeAssignment, PodMode};
 use flowsim::faults::{ControlFaults, FaultPlan, StuckConfig};
-use flowsim::{FailedLinks, SimConfig, Transport};
+use flowsim::{FailedLinks, RunOpts, SimConfig, Transport};
 use netgraph::{dijkstra, Graph, LinkId, NodeId};
 use serde::{Deserialize, Serialize};
 use testbed::TestbedRig;
@@ -326,8 +326,11 @@ fn degradation_cell(scale: Scale, mode_idx: usize, fraction: f64) -> Degradation
     let mut plan = FaultPlan::new(scale.seed ^ ((mode_idx as u64) << 17));
     plan.random_link_flaps(&cables(g), fraction, MEAN_DOWN_S, FLAP_WINDOW);
     let schedule = plan.compile(g).expect("plan matches its own graph");
-    let out = flowsim::simulate_under_faults(g, &flows, &cfg, &schedule)
-        .expect("workload is valid by construction");
+    let opts = RunOpts {
+        faults: Some(&schedule),
+        ..RunOpts::default()
+    };
+    let out = flowsim::run(g, &flows, &cfg, opts).expect("workload is valid by construction");
     let fcts: Vec<f64> = out.result.records.iter().filter_map(|r| r.fct()).collect();
     let mean_fct = crate::report::mean(&fcts);
     let rates: Vec<f64> = out
@@ -367,7 +370,9 @@ fn stuck_cell(scale: Scale, n: usize) -> (usize, f64) {
     let inst = ft.instantiate_with_overrides(&global, &overrides);
     let pairs_idx = traffic::patterns::permutation(inst.net.num_servers(), scale.seed);
     let flows = common::flow_specs(&inst.net, &pairs_idx, BYTES);
-    let res = flowsim::try_simulate(&inst.net.graph, &flows, &cfg).expect("workload is valid");
+    let res = flowsim::run(&inst.net.graph, &flows, &cfg, RunOpts::default())
+        .expect("workload is valid")
+        .result;
     let rates: Vec<f64> = res
         .records
         .iter()

@@ -13,7 +13,7 @@ use super::common;
 use crate::report::{f3, print_table};
 use crate::Scale;
 use flat_tree::{FlatTreeInstance, ModeAssignment, PodMode};
-use flowsim::{simulate, FlowSpec, SimConfig, Transport};
+use flowsim::{FlowSpec, RunOpts, SimConfig, Transport};
 use serde::{Deserialize, Serialize};
 
 /// Mean FCT (ms) of both tenants under one assignment.
@@ -61,17 +61,16 @@ fn tenant_flows(
 }
 
 fn mean_fct_ms(inst: &FlatTreeInstance, flows: &[FlowSpec]) -> f64 {
-    let res = simulate(
-        &inst.net.graph,
-        flows,
-        &SimConfig {
-            transport: Transport::Mptcp {
-                k: 4,
-                coupled: true,
-            },
-            ..SimConfig::default()
+    let cfg = SimConfig {
+        transport: Transport::Mptcp {
+            k: 4,
+            coupled: true,
         },
-    );
+        ..SimConfig::default()
+    };
+    let res = flowsim::run(&inst.net.graph, flows, &cfg, RunOpts::default())
+        .expect("workload is valid")
+        .result;
     res.mean_fct().expect("flows complete") * 1e3
 }
 

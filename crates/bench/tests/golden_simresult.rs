@@ -3,14 +3,14 @@
 //! Runs a fixed scenario — mini topo-2 flat-tree in global mode, a
 //! seeded permutation workload over MPTCP-8, one timed cable failure
 //! mid-run — through both the interned-path engine
-//! ([`flowsim::simulate`]) and the preserved pre-refactor engine
+//! ([`flowsim::run`]) and the preserved pre-refactor engine
 //! ([`flowsim::reference::simulate_reference`]) and pins the outputs to
 //! each other **bit for bit**: every record, every series point, the end
 //! time. Any numeric drift in the refactored event loop fails here.
 
 use flat_tree::PodMode;
 use flowsim::reference::simulate_reference;
-use flowsim::{simulate, LinkFailure, SimConfig, Transport};
+use flowsim::{run, LinkFailure, RunOpts, SimConfig, Transport};
 use ft_bench::experiments::common;
 use netgraph::{Graph, LinkId};
 
@@ -45,7 +45,9 @@ fn engines_agree_bit_for_bit_on_golden_scenario() {
         record_series: true,
     };
 
-    let new = simulate(&net.graph, &flows, &cfg);
+    let new = run(&net.graph, &flows, &cfg, RunOpts::default())
+        .expect("valid scenario")
+        .result;
     let old = simulate_reference(&net.graph, &flows, &cfg);
 
     assert_eq!(new.records.len(), old.records.len());

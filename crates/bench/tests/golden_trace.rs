@@ -11,9 +11,7 @@ use control::conversion::DelayModel;
 use control::resilient::{run_conversion_traced, ConversionWork, RetryPolicy};
 use flat_tree::PodMode;
 use flowsim::faults::ControlFaults;
-use flowsim::{
-    simulate_under_faults_traced, try_simulate_traced, JsonlSink, LinkFailure, SimConfig, Transport,
-};
+use flowsim::{run, JsonlSink, LinkFailure, RunOpts, SimConfig, Transport};
 use ft_bench::experiments::common;
 use netgraph::{Graph, LinkId, NodeId, NodeKind};
 
@@ -58,8 +56,14 @@ fn traced_engine_jsonl() -> Vec<u8> {
         record_series: false,
     };
     let mut sink = JsonlSink::new(Vec::new());
-    let out = try_simulate_traced(&net.graph, &flows, &cfg, &mut sink).expect("valid scenario");
-    assert!(out.end_time > 0.2, "failure must land mid-run");
+    let opts = RunOpts {
+        provider: None,
+        faults: None,
+        telemetry: None,
+        sink: &mut sink,
+    };
+    let out = run(&net.graph, &flows, &cfg, opts).expect("valid scenario");
+    assert!(out.result.end_time > 0.2, "failure must land mid-run");
     assert!(sink.take_error().is_none());
     sink.into_inner().expect("vec sink cannot fail")
 }
@@ -139,8 +143,13 @@ fn dumbbell_flap_trace_matches_inline_golden() {
     plan.flap(core, 0.5, None); // permanent fault
     let sched = plan.compile(&g).expect("valid plan");
     let mut sink = JsonlSink::new(Vec::new());
-    let out = simulate_under_faults_traced(&g, &flows, &SimConfig::default(), &sched, &mut sink)
-        .expect("valid input");
+    let opts = RunOpts {
+        provider: None,
+        faults: Some(&sched),
+        telemetry: None,
+        sink: &mut sink,
+    };
+    let out = run(&g, &flows, &SimConfig::default(), opts).expect("valid input");
     assert_eq!(out.audit.parked, 1);
     let text = String::from_utf8(sink.into_inner().expect("vec sink cannot fail"))
         .expect("JSONL is UTF-8");

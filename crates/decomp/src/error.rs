@@ -6,7 +6,7 @@ use flowsim::SimError;
 #[derive(Debug)]
 pub enum DecompError {
     /// The workload failed the same validation the exact engine runs
-    /// (non-finite start, non-positive bytes, self-flow).
+    /// ([`FlowSpec::validate`](flowsim::FlowSpec::validate)).
     Sim(SimError),
     /// The routing provider returned a multi-path connection; the
     /// decomposition is defined for single-path transports only.

@@ -5,7 +5,7 @@ use crate::cluster::{cluster, Clusters};
 use crate::error::DecompError;
 use crate::signature::signatures;
 use flowsim::{
-    EcmpProvider, FailedLinks, FlowRecord, FlowSpec, PathProvider, SimConfig, SimError, SimResult,
+    EcmpProvider, FailedLinks, FlowRecord, FlowSpec, PathProvider, RunOpts, SimConfig, SimResult,
     Transport,
 };
 use netgraph::{Graph, LinkId, NodeKind, PathArena};
@@ -85,29 +85,6 @@ pub struct DecompOutcome {
     pub stats: DecompStats,
 }
 
-fn validate(flows: &[FlowSpec]) -> Result<(), DecompError> {
-    for f in flows {
-        if !f.start.is_finite() {
-            return Err(SimError::NonFiniteStart { flow: f.id }.into());
-        }
-        if !(f.bytes.is_finite() && f.bytes > 0.0) {
-            return Err(SimError::InvalidBytes {
-                flow: f.id,
-                bytes: f.bytes,
-            }
-            .into());
-        }
-        if f.src == f.dst {
-            return Err(SimError::SelfFlow {
-                flow: f.id,
-                node: f.src,
-            }
-            .into());
-        }
-    }
-    Ok(())
-}
-
 /// Each flow's routed path as a directed link sequence (`None` =
 /// unroutable), indexed by the flow's position in the input slice.
 pub type RoutedPaths = Vec<Option<Vec<LinkId>>>;
@@ -124,7 +101,9 @@ pub fn populations<P: PathProvider + ?Sized>(
     flows: &[FlowSpec],
     provider: &mut P,
 ) -> Result<(Vec<LinkPop>, RoutedPaths), DecompError> {
-    validate(flows)?;
+    for f in flows {
+        f.validate(g)?;
+    }
     let mut arena = PathArena::new();
     let failed = FailedLinks::new(g.link_count());
     let mut per_link: Vec<Vec<PopFlow>> = vec![Vec::new(); g.link_count()];
@@ -208,7 +187,7 @@ pub fn simulate_link_local(cap_gbps: f64, pop: &LinkPop) -> Result<Vec<Option<f6
         link_failures: Vec::new(),
         record_series: false,
     };
-    let res = flowsim::try_simulate(&g, &specs, &cfg)?;
+    let res = flowsim::run(&g, &specs, &cfg, RunOpts::default())?.result;
     Ok(res.records.iter().map(FlowRecord::fct).collect())
 }
 
@@ -359,6 +338,7 @@ pub fn decompose_with_provider<P: PathProvider + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowsim::SimError;
     use netgraph::NodeId;
 
     /// Dumbbell: `n` servers per rack, dedicated uplinks, one shared
@@ -417,7 +397,9 @@ mod tests {
             link_failures: Vec::new(),
             record_series: false,
         };
-        let exact = flowsim::simulate(&g, &flows, &cfg);
+        let exact = flowsim::run(&g, &flows, &cfg, RunOpts::default())
+            .expect("valid workload")
+            .result;
         for clustering in [false, true] {
             let out = decompose(
                 &g,
@@ -517,6 +499,31 @@ mod tests {
         let mut mptcp = flowsim::MptcpProvider::new(2, true);
         let multi = decompose_with_provider(&g2, &two, &DecompConfig::default(), &mut mptcp);
         assert!(matches!(multi, Err(DecompError::MultiPathRoute { .. })));
+    }
+
+    /// An endpoint outside the graph is the engine's typed error, not an
+    /// index panic inside the provider.
+    #[test]
+    fn populations_rejects_unknown_endpoints() {
+        let (g, l, r) = dumbbell(1);
+        let outside = NodeId(g.node_count() as u32 + 5);
+        for (src, dst) in [(l[0], outside), (outside, r[0])] {
+            let flows = [FlowSpec {
+                id: 7,
+                src,
+                dst,
+                bytes: 1e6,
+                start: 0.0,
+            }];
+            let err = populations(&g, &flows, &mut EcmpProvider::new()).map(|_| ());
+            assert!(
+                matches!(
+                    err,
+                    Err(DecompError::Sim(SimError::UnknownNode { flow: 7, node })) if node == outside
+                ),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! accuracy contract.
 
 use decomp::{cluster, decompose, signatures, DecompConfig, LinkPop, PopFlow};
-use flowsim::{FlowSpec, SimConfig, Transport};
+use flowsim::{FlowSpec, RunOpts, SimConfig, Transport};
 use netgraph::{Graph, LinkId, NodeId, NodeKind};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -130,7 +130,9 @@ proptest! {
                 start: rng.gen_range(0.0..0.2),
             })
             .collect();
-        let exact = flowsim::simulate(&g, &flows, &exact_cfg());
+        let exact = flowsim::run(&g, &flows, &exact_cfg(), RunOpts::default())
+            .expect("valid workload")
+            .result;
         let cfg = DecompConfig { threshold: 0.0, clustering };
         let out = decompose(&g, &flows, &cfg).expect("valid workload");
         for (a, b) in out.result.records.iter().zip(&exact.records) {
@@ -174,7 +176,9 @@ proptest! {
                 }
             })
             .collect();
-        let exact = flowsim::simulate(&net.graph, &flows, &exact_cfg());
+        let exact = flowsim::run(&net.graph, &flows, &exact_cfg(), RunOpts::default())
+            .expect("valid workload")
+            .result;
         let out = decompose(&net.graph, &flows, &DecompConfig::default())
             .expect("valid workload");
         let ef = sorted_fcts(&exact);

@@ -16,7 +16,7 @@
 //!   with `--nocapture` to see the measured values.
 
 use decomp::{decompose, w1, DecompConfig};
-use flowsim::{FlowSpec, SimConfig, SimResult, Transport};
+use flowsim::{FlowSpec, RunOpts, SimConfig, SimResult, Transport};
 use topology::{fat_tree, DcNetwork};
 
 fn specs(net: &DcNetwork, pairs: &[(usize, usize)], bytes: f64) -> Vec<FlowSpec> {
@@ -39,7 +39,9 @@ fn exact(net: &DcNetwork, flows: &[FlowSpec]) -> SimResult {
         link_failures: Vec::new(),
         record_series: false,
     };
-    flowsim::simulate(&net.graph, flows, &cfg)
+    flowsim::run(&net.graph, flows, &cfg, RunOpts::default())
+        .expect("valid workload")
+        .result
 }
 
 fn sorted_fcts(r: &SimResult) -> Vec<f64> {

@@ -64,8 +64,7 @@ pub(crate) fn fold_owner_rates(sub_rates: &[f64], owner: &[u32], n_conns: usize)
 /// Cumulative allocator-effort counters over a whole simulation run,
 /// summed from the per-epoch [`AllocStats`].
 ///
-/// Exposed through
-/// [`simulate_with_telemetry`](crate::sim::simulate_with_telemetry) so
+/// Filled through [`RunOpts::telemetry`](crate::sim::RunOpts::telemetry) so
 /// benches and perf snapshots can report how much work the incremental
 /// allocator actually did versus what a from-scratch rebuild would
 /// have cost.

@@ -1,10 +1,10 @@
 //! Typed errors for the simulator's fallible public paths.
 //!
-//! The engine used to `assert!`/`unwrap()` its way through bad input
-//! (NaN start times, self-flows, empty flows). Callers that construct
-//! workloads programmatically get typed errors instead via
-//! [`try_simulate`](crate::sim::try_simulate); the panicking wrappers
-//! remain for callers whose inputs are correct by construction.
+//! [`run`](crate::sim::run) validates its whole input before the event
+//! loop starts (NaN start times, self-flows, empty flows, endpoints
+//! outside the graph, malformed failures) and reports the first problem
+//! as a [`SimError`]. Callers whose inputs are correct by construction
+//! `.expect(..)` the result.
 
 use netgraph::NodeId;
 
@@ -28,6 +28,13 @@ pub enum SimError {
         /// The offending flow's caller-chosen id.
         flow: u64,
         /// The shared endpoint.
+        node: NodeId,
+    },
+    /// A flow's endpoint is not a node of the graph.
+    UnknownNode {
+        /// The offending flow's caller-chosen id.
+        flow: u64,
+        /// The out-of-range endpoint.
         node: NodeId,
     },
     /// A rate receiver handed to the allocator was malformed (empty
@@ -56,6 +63,9 @@ impl std::fmt::Display for SimError {
             }
             Self::SelfFlow { flow, node } => {
                 write!(f, "flow {flow}: source equals destination (node {node:?})")
+            }
+            Self::UnknownNode { flow, node } => {
+                write!(f, "flow {flow}: endpoint {node:?} is not in the graph")
             }
             Self::InvalidAllocEntity { source } => {
                 write!(f, "allocation entity rejected: {source}")

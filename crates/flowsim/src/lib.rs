@@ -27,8 +27,8 @@
 //!
 //! # Engine layout
 //!
-//! The event loop ([`sim::simulate_with_provider`]) works entirely on
-//! interned paths: routes come from a [`provider::PathProvider`] as
+//! The event loop behind [`sim::run`] works entirely on interned paths:
+//! routes come from a [`provider::PathProvider`] as
 //! [`netgraph::PathId`]s in a per-run [`netgraph::PathArena`], failures
 //! are a dense [`failures::FailedLinks`] set whose *epoch* invalidates
 //! the provider's route cache, and rate allocation reuses one
@@ -43,8 +43,9 @@
 //! [`faults::FaultPlan`] (link flaps that fail **and recover**, whole-
 //! switch down/up, stuck converters, control-plane fault rates) compiles
 //! against a graph into a [`faults::FaultSchedule`] that
-//! [`sim::simulate_under_faults`] replays, parking connections that lose
-//! every path and reviving them on recovery. The run's invariant auditor
+//! [`sim::run`] replays when given it in [`sim::RunOpts::faults`],
+//! parking connections that lose every path and reviving them on
+//! recovery. The run's invariant auditor
 //! ([`faults::AuditReport`]) certifies that no flow ever carried rate
 //! over a dead link and that routing state stayed consistent after every
 //! fault event.
@@ -52,11 +53,10 @@
 //!
 //! # Observability
 //!
-//! Every entry point has a `*_traced` twin taking a
-//! [`TraceSink`] that receives the flow lifecycle
-//! (start / reroute / park / revive / finish), per-epoch allocator and
-//! link-utilization events, and applied fault events. The plain entry
-//! points pass [`NoopSink`]; its emission guards compile away, so the
+//! [`sim::RunOpts::sink`] takes a [`TraceSink`] that receives the flow
+//! lifecycle (start / reroute / park / revive / finish), per-epoch
+//! allocator and link-utilization events, and applied fault events. The
+//! default is [`NoopSink`]; its emission guards compile away, so the
 //! un-traced engine is bit-identical and pays nothing.
 
 pub mod alloc;
@@ -73,11 +73,8 @@ pub use failures::FailedLinks;
 pub use faults::{AuditReport, ControlFaults, FaultPlan, FaultSchedule, LinkEvent, StuckConfig};
 pub use provider::{EcmpProvider, MptcpProvider, PathProvider, RoutedConn};
 pub use sim::{
-    simulate, simulate_under_faults, simulate_under_faults_traced,
-    simulate_under_faults_with_provider, simulate_under_faults_with_provider_traced,
-    simulate_with_provider, simulate_with_telemetry, try_simulate, try_simulate_traced,
-    try_simulate_with_provider, try_simulate_with_provider_traced, FaultSimOutcome, FlowRecord,
-    FlowSpec, LinkFailure, SimConfig, SimResult, Transport,
+    run, simulate_with_provider, simulate_with_telemetry, FlowRecord, FlowSpec, LinkFailure,
+    Outcome, RunOpts, SimConfig, SimResult, Transport,
 };
 // Re-exported so traced callers need not depend on `obs` directly.
 pub use obs::{JsonlSink, NoopSink, ParkCause, RingSink, TraceEvent, TraceSink};

@@ -4,7 +4,7 @@
 //! engine refactor (interned paths, reusable allocation workspace,
 //! failure-epoch route cache): it clones `ConnPaths` per event, tracks
 //! failures in a `HashSet`, and re-routes with fresh Yen runs. It is the
-//! behavioral oracle — [`crate::simulate`] must produce bit-identical
+//! behavioral oracle — [`crate::run`] must produce bit-identical
 //! [`SimResult`]s — and the baseline the `bench_simcore` benchmark
 //! measures the refactored engine against. It is not meant for
 //! production use.

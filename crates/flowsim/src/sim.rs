@@ -6,8 +6,8 @@
 //! [`mcf::IncrementalAllocator`], failures live in a dense
 //! [`FailedLinks`] set, and routing goes
 //! through a [`PathProvider`] whose cache is invalidated by failure
-//! epoch. The produced [`SimResult`] is bit-identical to the
-//! pre-refactor engine (kept as
+//! epoch. [`run`] is the one entry point. The produced [`SimResult`] is
+//! bit-identical to the pre-refactor engine (kept as
 //! [`reference::simulate_reference`](crate::reference::simulate_reference)).
 //!
 //! # Event batching
@@ -220,263 +220,192 @@ struct Active {
     subflow_weight: f64,
 }
 
-/// A faulted simulation's output: the ordinary [`SimResult`] plus the
-/// invariant auditor's tallies.
+/// What [`run`] returns: the [`SimResult`] plus the invariant auditor's
+/// tallies.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FaultSimOutcome {
+pub struct Outcome {
     /// The simulation result.
     pub result: SimResult,
     /// Invariant-auditor tallies ([`AuditReport::violations`] is zero on
-    /// a correct engine).
+    /// a correct engine). All zero unless [`RunOpts::faults`] was given.
     pub audit: AuditReport,
 }
 
-/// Validates a workload against the graph and configuration.
-fn validate_inputs(g: &Graph, flows: &[FlowSpec], cfg: &SimConfig) -> Result<(), SimError> {
-    for f in flows {
-        if !f.start.is_finite() {
-            return Err(SimError::NonFiniteStart { flow: f.id });
-        }
-        if !(f.bytes.is_finite() && f.bytes > 0.0) {
-            return Err(SimError::InvalidBytes {
-                flow: f.id,
-                bytes: f.bytes,
-            });
-        }
-        if f.src == f.dst {
-            return Err(SimError::SelfFlow {
-                flow: f.id,
-                node: f.src,
-            });
+/// The optional parts of a [`run`]. `RunOpts::default()` is the plain
+/// run: the provider `cfg.transport` selects, no fault schedule, no
+/// telemetry, no tracing.
+pub struct RunOpts<'a, S: TraceSink = NoopSink> {
+    /// Routing provider; `None` uses [`EcmpProvider`] for
+    /// [`Transport::TcpEcmp`] and [`MptcpProvider`] for
+    /// [`Transport::Mptcp`]. A custom provider must be deterministic (see
+    /// [`PathProvider`]); the engine uses whatever it returns, whatever
+    /// `cfg.transport` says.
+    pub provider: Option<&'a mut dyn PathProvider>,
+    /// Compiled fault schedule to replay, with the invariant auditor
+    /// enabled. Connections that lose every path are *parked* (not
+    /// dropped) and re-routed when a recovery event restores
+    /// connectivity; arrivals during a partition wait parked for the
+    /// network to heal. An empty schedule takes exactly the fault-free
+    /// code path, so the result is bit-identical to `None`.
+    pub faults: Option<&'a FaultSchedule>,
+    /// Sums the incremental allocator's per-epoch effort counters. Plain
+    /// integer adds on the epoch boundary: the result is unchanged.
+    pub telemetry: Option<&'a mut AllocTelemetry>,
+    /// Receives the flow lifecycle (start / reroute / park / revive /
+    /// finish), per-epoch allocator and link-utilization events, and
+    /// applied fault events. Pass `&mut sink` to keep the sink after the
+    /// run. With [`NoopSink`] every emission guard compiles away.
+    pub sink: S,
+}
+
+impl Default for RunOpts<'_> {
+    fn default() -> Self {
+        Self {
+            provider: None,
+            faults: None,
+            telemetry: None,
+            sink: NoopSink,
         }
     }
-    for lf in &cfg.link_failures {
-        if !lf.time.is_finite() {
+}
+
+impl FlowSpec {
+    /// Checks the flow against `g`: finite start, positive finite byte
+    /// count, distinct endpoints, both of them nodes of `g`.
+    pub fn validate(&self, g: &Graph) -> Result<(), SimError> {
+        let flow = self.id;
+        if !self.start.is_finite() {
+            return Err(SimError::NonFiniteStart { flow });
+        }
+        if !(self.bytes.is_finite() && self.bytes > 0.0) {
+            return Err(SimError::InvalidBytes {
+                flow,
+                bytes: self.bytes,
+            });
+        }
+        if self.src == self.dst {
+            return Err(SimError::SelfFlow {
+                flow,
+                node: self.src,
+            });
+        }
+        for node in [self.src, self.dst] {
+            if node.idx() >= g.node_count() {
+                return Err(SimError::UnknownNode { flow, node });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Validates a workload, its legacy failures and its fault schedule
+/// against the graph.
+fn validate(
+    g: &Graph,
+    flows: &[FlowSpec],
+    cfg: &SimConfig,
+    schedule: &[LinkEvent],
+) -> Result<(), SimError> {
+    for f in flows {
+        f.validate(g)?;
+    }
+    let legacy = cfg.link_failures.iter().map(|lf| (lf.time, lf.link));
+    for (time, link) in legacy.chain(schedule.iter().map(|ev| (ev.time, ev.link))) {
+        if !time.is_finite() {
             return Err(SimError::NonFiniteFailureTime);
         }
-        if lf.link.idx() >= g.link_count() {
-            return Err(SimError::UnknownFailedLink {
-                link: lf.link.idx(),
-            });
+        if link.idx() >= g.link_count() {
+            return Err(SimError::UnknownFailedLink { link: link.idx() });
         }
     }
     Ok(())
 }
 
-/// Runs the fluid simulation.
+/// Runs the fluid simulation: the one entry point to the engine.
 ///
 /// Flows may arrive in any order (sorted internally). Unroutable flows
-/// (disconnected endpoints) are recorded as never finishing.
-///
-/// Panics on invalid input; use [`try_simulate`] for a typed error.
-pub fn simulate(g: &Graph, flows: &[FlowSpec], cfg: &SimConfig) -> SimResult {
-    try_simulate(g, flows, cfg).unwrap_or_else(|e| panic!("invalid simulation input: {e}"))
-}
-
-/// [`simulate`] with typed input validation instead of panics.
-pub fn try_simulate(g: &Graph, flows: &[FlowSpec], cfg: &SimConfig) -> Result<SimResult, SimError> {
-    try_simulate_traced(g, flows, cfg, &mut NoopSink)
-}
-
-/// [`try_simulate`] with a caller-supplied [`TraceSink`] receiving the
-/// flow-lifecycle and per-epoch events. With [`NoopSink`] this **is**
-/// [`try_simulate`]: the guard blocks compile away and the result is
-/// bit-identical.
-pub fn try_simulate_traced<S: TraceSink>(
+/// (disconnected endpoints) are recorded as never finishing. Invalid
+/// input — a malformed flow, an endpoint outside the graph, a failure
+/// at a non-finite time or on an unknown link — is a typed
+/// [`SimError`].
+pub fn run<S: TraceSink>(
     g: &Graph,
     flows: &[FlowSpec],
     cfg: &SimConfig,
-    sink: &mut S,
-) -> Result<SimResult, SimError> {
-    match cfg.transport {
-        Transport::TcpEcmp => {
-            try_simulate_with_provider_traced(g, flows, cfg, &mut EcmpProvider::new(), sink)
+    opts: RunOpts<'_, S>,
+) -> Result<Outcome, SimError> {
+    let RunOpts {
+        provider,
+        faults,
+        telemetry,
+        mut sink,
+    } = opts;
+    let schedule = faults.map_or(&[][..], |s| &s.events);
+    validate(g, flows, cfg, schedule)?;
+    let mut own: Box<dyn PathProvider>;
+    let provider: &mut dyn PathProvider = match provider {
+        Some(p) => p,
+        None => {
+            own = match cfg.transport {
+                Transport::TcpEcmp => Box::new(EcmpProvider::new()),
+                Transport::Mptcp { k, coupled } => Box::new(MptcpProvider::new(k, coupled)),
+            };
+            &mut *own
         }
-        Transport::Mptcp { k, coupled } => try_simulate_with_provider_traced(
-            g,
-            flows,
-            cfg,
-            &mut MptcpProvider::new(k, coupled),
-            sink,
-        ),
-    }
+    };
+    let mut audit = AuditReport::default();
+    let result = run_engine(
+        g,
+        flows,
+        cfg,
+        provider,
+        schedule,
+        faults.map(|_| &mut audit),
+        telemetry,
+        &mut sink,
+    );
+    Ok(Outcome { result, audit })
 }
 
-/// Runs the fluid simulation with a caller-supplied routing provider.
+/// [`run`] with a custom provider, panicking on invalid input.
 ///
-/// [`simulate`] wires the standard providers for [`Transport`]; this
-/// entry point lets experiments substitute custom routing (the provider
-/// must be deterministic — see [`PathProvider`]). Note `cfg.transport`
-/// still selects the fairness weights reported by the provider itself;
-/// the engine uses whatever the provider returns.
-///
-/// Panics on invalid input; use [`try_simulate_with_provider`] for a
-/// typed error.
-pub fn simulate_with_provider<P: PathProvider + ?Sized>(
+/// Kept only because the repository benchmark (`perfbench/`) calls it
+/// by name; new code calls [`run`].
+pub fn simulate_with_provider(
     g: &Graph,
     flows: &[FlowSpec],
     cfg: &SimConfig,
-    provider: &mut P,
+    provider: &mut dyn PathProvider,
 ) -> SimResult {
-    try_simulate_with_provider(g, flows, cfg, provider)
+    let opts = RunOpts {
+        provider: Some(provider),
+        ..RunOpts::default()
+    };
+    run(g, flows, cfg, opts)
         .unwrap_or_else(|e| panic!("invalid simulation input: {e}"))
+        .result
 }
 
-/// [`simulate_with_provider`] with typed input validation.
-pub fn try_simulate_with_provider<P: PathProvider + ?Sized>(
-    g: &Graph,
-    flows: &[FlowSpec],
-    cfg: &SimConfig,
-    provider: &mut P,
-) -> Result<SimResult, SimError> {
-    try_simulate_with_provider_traced(g, flows, cfg, provider, &mut NoopSink)
-}
-
-/// [`try_simulate_with_provider`] with a caller-supplied [`TraceSink`].
-pub fn try_simulate_with_provider_traced<P: PathProvider + ?Sized, S: TraceSink>(
-    g: &Graph,
-    flows: &[FlowSpec],
-    cfg: &SimConfig,
-    provider: &mut P,
-    sink: &mut S,
-) -> Result<SimResult, SimError> {
-    validate_inputs(g, flows, cfg)?;
-    Ok(run_engine(g, flows, cfg, provider, &[], None, None, sink))
-}
-
-/// [`simulate_under_faults_with_provider`] that additionally sums the
-/// incremental allocator's per-epoch effort counters into `telemetry`.
+/// [`run`] with a custom provider, a fault schedule and allocator
+/// telemetry.
 ///
-/// An empty `schedule` takes exactly the fault-free code path (modulo
-/// the auditor, which never perturbs the result), so this one entry
-/// point serves both the steady-state and failure benchmarks. The
-/// counters are plain integer adds on the epoch boundary; they do not
-/// change the simulation.
-pub fn simulate_with_telemetry<P: PathProvider + ?Sized>(
+/// Kept only because the repository benchmark (`perfbench/`) calls it
+/// by name; new code calls [`run`].
+pub fn simulate_with_telemetry(
     g: &Graph,
     flows: &[FlowSpec],
     cfg: &SimConfig,
     schedule: &FaultSchedule,
-    provider: &mut P,
+    provider: &mut dyn PathProvider,
     telemetry: &mut AllocTelemetry,
-) -> Result<FaultSimOutcome, SimError> {
-    validate_inputs(g, flows, cfg)?;
-    for ev in &schedule.events {
-        if !ev.time.is_finite() {
-            return Err(SimError::NonFiniteFailureTime);
-        }
-        if ev.link.idx() >= g.link_count() {
-            return Err(SimError::UnknownFailedLink {
-                link: ev.link.idx(),
-            });
-        }
-    }
-    let mut audit = AuditReport::default();
-    let result = run_engine(
-        g,
-        flows,
-        cfg,
-        provider,
-        &schedule.events,
-        Some(&mut audit),
-        Some(telemetry),
-        &mut NoopSink,
-    );
-    Ok(FaultSimOutcome { result, audit })
-}
-
-/// Runs the fluid simulation under a compiled fault schedule, with the
-/// invariant auditor enabled.
-///
-/// The schedule's recovery events exercise graceful-degradation routing:
-/// connections that lose every path are *parked* (not dropped) and
-/// re-routed when a recovery event restores connectivity, and arrivals
-/// during a partition wait parked for the network to heal. With an
-/// empty schedule the engine takes exactly the fault-free code path and
-/// the result is bit-identical to [`simulate`].
-pub fn simulate_under_faults(
-    g: &Graph,
-    flows: &[FlowSpec],
-    cfg: &SimConfig,
-    schedule: &FaultSchedule,
-) -> Result<FaultSimOutcome, SimError> {
-    simulate_under_faults_traced(g, flows, cfg, schedule, &mut NoopSink)
-}
-
-/// [`simulate_under_faults`] with a caller-supplied [`TraceSink`]: the
-/// sink additionally sees every applied fault event (`LinkDown` /
-/// `LinkUp`) and the park/revive lifecycle.
-pub fn simulate_under_faults_traced<S: TraceSink>(
-    g: &Graph,
-    flows: &[FlowSpec],
-    cfg: &SimConfig,
-    schedule: &FaultSchedule,
-    sink: &mut S,
-) -> Result<FaultSimOutcome, SimError> {
-    match cfg.transport {
-        Transport::TcpEcmp => simulate_under_faults_with_provider_traced(
-            g,
-            flows,
-            cfg,
-            schedule,
-            &mut EcmpProvider::new(),
-            sink,
-        ),
-        Transport::Mptcp { k, coupled } => simulate_under_faults_with_provider_traced(
-            g,
-            flows,
-            cfg,
-            schedule,
-            &mut MptcpProvider::new(k, coupled),
-            sink,
-        ),
-    }
-}
-
-/// [`simulate_under_faults`] with a caller-supplied routing provider.
-pub fn simulate_under_faults_with_provider<P: PathProvider + ?Sized>(
-    g: &Graph,
-    flows: &[FlowSpec],
-    cfg: &SimConfig,
-    schedule: &FaultSchedule,
-    provider: &mut P,
-) -> Result<FaultSimOutcome, SimError> {
-    simulate_under_faults_with_provider_traced(g, flows, cfg, schedule, provider, &mut NoopSink)
-}
-
-/// [`simulate_under_faults_with_provider`] with a caller-supplied
-/// [`TraceSink`].
-pub fn simulate_under_faults_with_provider_traced<P: PathProvider + ?Sized, S: TraceSink>(
-    g: &Graph,
-    flows: &[FlowSpec],
-    cfg: &SimConfig,
-    schedule: &FaultSchedule,
-    provider: &mut P,
-    sink: &mut S,
-) -> Result<FaultSimOutcome, SimError> {
-    validate_inputs(g, flows, cfg)?;
-    for ev in &schedule.events {
-        if !ev.time.is_finite() {
-            return Err(SimError::NonFiniteFailureTime);
-        }
-        if ev.link.idx() >= g.link_count() {
-            return Err(SimError::UnknownFailedLink {
-                link: ev.link.idx(),
-            });
-        }
-    }
-    let mut audit = AuditReport::default();
-    let result = run_engine(
-        g,
-        flows,
-        cfg,
-        provider,
-        &schedule.events,
-        Some(&mut audit),
-        None,
-        sink,
-    );
-    Ok(FaultSimOutcome { result, audit })
+) -> Result<Outcome, SimError> {
+    let opts = RunOpts {
+        provider: Some(provider),
+        faults: Some(schedule),
+        telemetry: Some(telemetry),
+        sink: NoopSink,
+    };
+    run(g, flows, cfg, opts)
 }
 
 /// The event loop. `schedule` must be sorted by time; an empty schedule
@@ -487,11 +416,11 @@ pub fn simulate_under_faults_with_provider_traced<P: PathProvider + ?Sized, S: T
 /// construction) compile away, so tracing never perturbs the
 /// simulation.
 #[allow(clippy::too_many_arguments)]
-fn run_engine<P: PathProvider + ?Sized, S: TraceSink>(
+fn run_engine<S: TraceSink>(
     g: &Graph,
     flows: &[FlowSpec],
     cfg: &SimConfig,
-    provider: &mut P,
+    provider: &mut dyn PathProvider,
     schedule: &[LinkEvent],
     mut audit: Option<&mut AuditReport>,
     mut telemetry: Option<&mut AllocTelemetry>,
@@ -952,12 +881,33 @@ mod tests {
         }
     }
 
+    /// A run with default options on valid input.
+    fn run_plain(g: &Graph, flows: &[FlowSpec], cfg: &SimConfig) -> SimResult {
+        run(g, flows, cfg, RunOpts::default())
+            .expect("valid input")
+            .result
+    }
+
+    /// A run replaying `sched` on valid input.
+    fn run_faulted(
+        g: &Graph,
+        flows: &[FlowSpec],
+        cfg: &SimConfig,
+        sched: &FaultSchedule,
+    ) -> Outcome {
+        let opts = RunOpts {
+            faults: Some(sched),
+            ..RunOpts::default()
+        };
+        run(g, flows, cfg, opts).expect("valid input")
+    }
+
     #[test]
     fn single_flow_fct_is_exact() {
         let (g, s, _) = dumbbell();
         // 10 Gbps end to end; 1.25 GB takes exactly 1 s.
         let flows = vec![spec(0, s[0], s[2], 1.25e9, 0.0)];
-        let res = simulate(&g, &flows, &SimConfig::default());
+        let res = run_plain(&g, &flows, &SimConfig::default());
         let fct = res.records[0].fct().unwrap();
         assert!((fct - 1.0).abs() < 1e-9, "fct = {fct}");
         assert!((res.records[0].avg_rate_gbps().unwrap() - 10.0).abs() < 1e-9);
@@ -972,7 +922,7 @@ mod tests {
             spec(0, s[0], s[2], 0.625e9, 0.0), // 5 Gb at 5 Gbps -> 1 s
             spec(1, s[1], s[3], 1.25e9, 0.0),
         ];
-        let res = simulate(&g, &flows, &SimConfig::default());
+        let res = run_plain(&g, &flows, &SimConfig::default());
         let f0 = res.records[0].fct().unwrap();
         let f1 = res.records[1].fct().unwrap();
         assert!((f0 - 1.0).abs() < 1e-9, "f0 = {f0}");
@@ -988,7 +938,7 @@ mod tests {
             spec(0, s[0], s[2], 1.25e9, 0.0),
             spec(1, s[1], s[3], 1.25e9, 0.5),
         ];
-        let res = simulate(&g, &flows, &SimConfig::default());
+        let res = run_plain(&g, &flows, &SimConfig::default());
         // Flow 0: 10G for 0.5 s (half done), then 5G until done:
         // remaining 0.625 GB at 5 Gbps = 1 s -> finish 1.5.
         assert!((res.records[0].fct().unwrap() - 1.5).abs() < 1e-9);
@@ -1004,7 +954,7 @@ mod tests {
             spec(0, s[0], s[1], 1.25e9, 0.0), // same rack
             spec(1, s[2], s[3], 1.25e9, 0.0), // same rack
         ];
-        let res = simulate(&g, &flows, &SimConfig::default());
+        let res = run_plain(&g, &flows, &SimConfig::default());
         for r in &res.records {
             assert!((r.fct().unwrap() - 1.0).abs() < 1e-9);
         }
@@ -1021,7 +971,7 @@ mod tests {
             }],
             ..SimConfig::default()
         };
-        let res = simulate(&g, &flows, &cfg);
+        let res = run_plain(&g, &flows, &cfg);
         assert_eq!(res.records[0].finish, None, "must stall: only path died");
     }
 
@@ -1053,7 +1003,7 @@ mod tests {
             }],
             record_series: false,
         };
-        let res = simulate(&g, &flows, &cfg);
+        let res = run_plain(&g, &flows, &cfg);
         // NIC-limited to 10G throughout (both paths before, one after);
         // completion at 1 s regardless of the failure.
         let fct = res.records[0].fct().expect("must finish via y");
@@ -1065,7 +1015,7 @@ mod tests {
         let (g, s, _) = dumbbell();
         let flows = vec![spec(0, s[0], s[2], 1.25e9, 0.0)];
         for transport in [Transport::TcpEcmp, Transport::mptcp8()] {
-            let res = simulate(
+            let res = run_plain(
                 &g,
                 &flows,
                 &SimConfig {
@@ -1088,7 +1038,7 @@ mod tests {
             record_series: true,
             ..SimConfig::default()
         };
-        let res = simulate(&g, &flows, &cfg);
+        let res = run_plain(&g, &flows, &cfg);
         assert!(!res.series.is_empty());
         // The point at t=0 before arrivals carries 0; once both flows are
         // active the total goodput steps to the 10 G core capacity.
@@ -1098,22 +1048,25 @@ mod tests {
     }
 
     #[test]
-    fn try_simulate_rejects_bad_input() {
+    fn run_rejects_bad_input() {
         let (g, s, _) = dumbbell();
         use crate::error::SimError;
+        let check = |flows: &[FlowSpec], cfg: &SimConfig| {
+            run(&g, flows, cfg, RunOpts::default()).map(|out| out.result)
+        };
         let bad_start = vec![spec(0, s[0], s[2], 1.0, f64::NAN)];
         assert!(matches!(
-            try_simulate(&g, &bad_start, &SimConfig::default()),
+            check(&bad_start, &SimConfig::default()),
             Err(SimError::NonFiniteStart { flow: 0 })
         ));
         let self_flow = vec![spec(1, s[0], s[0], 1.0, 0.0)];
         assert!(matches!(
-            try_simulate(&g, &self_flow, &SimConfig::default()),
+            check(&self_flow, &SimConfig::default()),
             Err(SimError::SelfFlow { flow: 1, .. })
         ));
         let empty = vec![spec(2, s[0], s[1], 0.0, 0.0)];
         assert!(matches!(
-            try_simulate(&g, &empty, &SimConfig::default()),
+            check(&empty, &SimConfig::default()),
             Err(SimError::InvalidBytes { flow: 2, .. })
         ));
         let cfg = SimConfig {
@@ -1124,16 +1077,138 @@ mod tests {
             ..SimConfig::default()
         };
         assert!(matches!(
-            try_simulate(&g, &[spec(3, s[0], s[2], 1.0, 0.0)], &cfg),
+            check(&[spec(3, s[0], s[2], 1.0, 0.0)], &cfg),
             Err(SimError::UnknownFailedLink { .. })
         ));
+        let bad_event = FaultSchedule {
+            events: vec![LinkEvent {
+                time: f64::INFINITY,
+                link: LinkId(0),
+                up: false,
+            }],
+        };
+        let opts = RunOpts {
+            faults: Some(&bad_event),
+            ..RunOpts::default()
+        };
+        assert!(matches!(
+            run(
+                &g,
+                &[spec(4, s[0], s[2], 1.0, 0.0)],
+                &SimConfig::default(),
+                opts
+            ),
+            Err(SimError::NonFiniteFailureTime)
+        ));
+        // An endpoint outside the graph is a typed error under either
+        // transport, not an index panic inside the provider.
+        let outside = NodeId(g.node_count() as u32 + 5);
+        for transport in [Transport::TcpEcmp, Transport::mptcp8()] {
+            let cfg = SimConfig {
+                transport,
+                ..SimConfig::default()
+            };
+            for (src, dst) in [(s[0], outside), (outside, s[0])] {
+                let flows = [spec(5, src, dst, 1.0, 0.0)];
+                assert_eq!(
+                    check(&flows, &cfg).map(|r| r.records.len()),
+                    Err(SimError::UnknownNode {
+                        flow: 5,
+                        node: outside
+                    }),
+                    "{transport:?}"
+                );
+            }
+        }
     }
 
-    /// An empty fault schedule takes exactly the fault-free code path:
-    /// the outcome is bit-identical to `simulate` and the auditor is
-    /// silent.
+    /// Every bit of a result: records, series and end time.
+    fn result_bits(r: &SimResult) -> Vec<u64> {
+        let records = r.records.iter().flat_map(|rec| {
+            [
+                rec.id,
+                rec.start.to_bits(),
+                rec.finish.map_or(u64::MAX, f64::to_bits),
+                rec.bytes.to_bits(),
+            ]
+        });
+        let series = r
+            .series
+            .iter()
+            .flat_map(|&(t, v)| [t.to_bits(), v.to_bits()]);
+        records
+            .chain(series)
+            .chain([r.end_time.to_bits()])
+            .collect()
+    }
+
+    /// No run option changes the result: an explicit standard provider,
+    /// a live trace sink and allocator telemetry each give the default
+    /// run's result bit for bit.
     #[test]
-    fn empty_schedule_is_bit_identical_to_simulate() {
+    fn run_options_never_change_the_result() {
+        type Variant = fn(&Graph, &[FlowSpec], &SimConfig) -> SimResult;
+        let variants: [(&str, Variant); 3] = [
+            ("explicit provider", |g, flows, cfg| {
+                let mut p: Box<dyn PathProvider> = match cfg.transport {
+                    Transport::TcpEcmp => Box::new(EcmpProvider::new()),
+                    Transport::Mptcp { k, coupled } => Box::new(MptcpProvider::new(k, coupled)),
+                };
+                let opts = RunOpts {
+                    provider: Some(&mut *p),
+                    ..RunOpts::default()
+                };
+                run(g, flows, cfg, opts).expect("valid input").result
+            }),
+            ("ring sink", |g, flows, cfg| {
+                let mut ring = obs::RingSink::unbounded();
+                let opts = RunOpts {
+                    provider: None,
+                    faults: None,
+                    telemetry: None,
+                    sink: &mut ring,
+                };
+                let res = run(g, flows, cfg, opts).expect("valid input").result;
+                assert!(!ring.into_events().is_empty());
+                res
+            }),
+            ("telemetry", |g, flows, cfg| {
+                let mut tel = AllocTelemetry::default();
+                let opts = RunOpts {
+                    telemetry: Some(&mut tel),
+                    ..RunOpts::default()
+                };
+                let res = run(g, flows, cfg, opts).expect("valid input").result;
+                assert!(tel.epochs > 0 && tel.rounds > 0, "{tel:?}");
+                res
+            }),
+        ];
+        let (g, s, core) = dumbbell();
+        let flows = vec![
+            spec(0, s[0], s[2], 1.25e9, 0.0),
+            spec(1, s[1], s[3], 0.625e9, 0.25),
+            spec(2, s[2], s[3], 0.3e9, 0.1),
+        ];
+        for transport in [Transport::TcpEcmp, Transport::mptcp8()] {
+            let cfg = SimConfig {
+                transport,
+                link_failures: vec![LinkFailure {
+                    time: 0.5,
+                    link: core,
+                }],
+                record_series: true,
+            };
+            let base = result_bits(&run_plain(&g, &flows, &cfg));
+            for (name, variant) in variants {
+                let got = result_bits(&variant(&g, &flows, &cfg));
+                assert_eq!(got, base, "{name} under {transport:?}");
+            }
+        }
+    }
+
+    /// Config shared by the bit-identity tests: two flows over the
+    /// dumbbell with a core failure mid-run and the series recorded.
+    fn failing_core_case() -> (Graph, Vec<FlowSpec>, SimConfig) {
         let (g, s, core) = dumbbell();
         let flows = vec![
             spec(0, s[0], s[2], 1.25e9, 0.0),
@@ -1147,20 +1222,37 @@ mod tests {
             record_series: true,
             ..SimConfig::default()
         };
-        let plain = simulate(&g, &flows, &cfg);
-        let faulted =
-            simulate_under_faults(&g, &flows, &cfg, &crate::faults::FaultSchedule::empty())
-                .expect("valid input");
-        assert_eq!(plain.records, faulted.result.records);
-        assert_eq!(plain.series.len(), faulted.result.series.len());
-        for (a, b) in plain.series.iter().zip(&faulted.result.series) {
-            assert_eq!(a.0.to_bits(), b.0.to_bits());
-            assert_eq!(a.1.to_bits(), b.1.to_bits());
-        }
-        assert_eq!(plain.end_time.to_bits(), faulted.result.end_time.to_bits());
+        (g, flows, cfg)
+    }
+
+    /// An empty fault schedule takes exactly the fault-free code path:
+    /// the outcome is bit-identical to the plain run and the auditor is
+    /// silent.
+    #[test]
+    fn empty_schedule_is_bit_identical_to_simulate() {
+        let (g, flows, cfg) = failing_core_case();
+        let plain = run_plain(&g, &flows, &cfg);
+        let faulted = run_faulted(&g, &flows, &cfg, &FaultSchedule::empty());
+        assert_eq!(result_bits(&plain), result_bits(&faulted.result));
         assert_eq!(faulted.audit.violations(), 0);
         assert_eq!(faulted.audit.events_applied, 0);
         assert_eq!(faulted.audit.parked, 0);
+    }
+
+    /// An explicitly passed `NoopSink` is the default run: bit-identical
+    /// records, series, and end time.
+    #[test]
+    fn noop_traced_is_bit_identical() {
+        let (g, flows, cfg) = failing_core_case();
+        let plain = run_plain(&g, &flows, &cfg);
+        let opts = RunOpts {
+            provider: None,
+            faults: None,
+            telemetry: None,
+            sink: &mut NoopSink,
+        };
+        let traced = run(&g, &flows, &cfg, opts).expect("valid input").result;
+        assert_eq!(result_bits(&plain), result_bits(&traced));
     }
 
     /// A flap on the only path parks the flow and revives it on
@@ -1173,7 +1265,7 @@ mod tests {
         plan.flap(core, 0.5, Some(2.0));
         let sched = plan.compile(&g).expect("valid plan");
         let cfg = SimConfig::default();
-        let out = simulate_under_faults(&g, &flows, &cfg, &sched).expect("valid input");
+        let out = run_faulted(&g, &flows, &cfg, &sched);
         // 0.625 GB done by t=0.5; parked for 1.5 s; remaining 0.625 GB
         // at 10 Gbps takes 0.5 s -> finish at 2.5 s.
         let fct = out.result.records[0].fct().expect("revived after flap");
@@ -1193,8 +1285,7 @@ mod tests {
         let mut plan = crate::faults::FaultPlan::new(1);
         plan.flap(core, 0.25, Some(1.0));
         let sched = plan.compile(&g).expect("valid plan");
-        let out =
-            simulate_under_faults(&g, &flows, &SimConfig::default(), &sched).expect("valid input");
+        let out = run_faulted(&g, &flows, &SimConfig::default(), &sched);
         // Arrives at 0.5 into a dead core, parked; core heals at 1.0;
         // 1 s of transfer -> finish 2.0, fct 1.5.
         let fct = out.result.records[0].fct().expect("must finish after heal");
@@ -1213,8 +1304,7 @@ mod tests {
         let mut plan = crate::faults::FaultPlan::new(1);
         plan.flap(core, 0.5, None);
         let sched = plan.compile(&g).expect("valid plan");
-        let out =
-            simulate_under_faults(&g, &flows, &SimConfig::default(), &sched).expect("valid input");
+        let out = run_faulted(&g, &flows, &SimConfig::default(), &sched);
         assert_eq!(out.result.records[0].finish, None);
         assert_eq!(out.audit.parked, 1);
         assert_eq!(out.audit.revived, 0);
@@ -1250,7 +1340,7 @@ mod tests {
             },
             ..SimConfig::default()
         };
-        let out = simulate_under_faults(&g, &flows, &cfg, &sched).expect("valid input");
+        let out = run_faulted(&g, &flows, &cfg, &sched);
         // NIC-limited to 10G throughout (y survives): finish at 1 s.
         let fct = out.result.records[0].fct().expect("survives via y");
         assert!((fct - 1.0).abs() < 1e-6, "fct = {fct}");
@@ -1313,8 +1403,7 @@ mod tests {
         let mut plan = crate::faults::FaultPlan::new(1);
         plan.flap(core, 0.5, None); // permanent fault
         let sched = plan.compile(&g).expect("valid plan");
-        let out =
-            simulate_under_faults(&g, &flows, &SimConfig::default(), &sched).expect("valid input");
+        let out = run_faulted(&g, &flows, &SimConfig::default(), &sched);
         let res = &out.result;
         assert_eq!(out.audit.parked, 1);
         assert_eq!(out.audit.revived, 0);
@@ -1329,34 +1418,6 @@ mod tests {
         assert!((res.mean_rate_gbps().unwrap() - 10.0).abs() < 1e-9);
         // The workload-level mean counts the parked flow as zero.
         assert!((res.workload_mean_rate_gbps() - 5.0).abs() < 1e-9);
-    }
-
-    /// The traced entry point with a `NoopSink` is the plain entry
-    /// point: bit-identical records, series, and end time.
-    #[test]
-    fn noop_traced_is_bit_identical() {
-        let (g, s, core) = dumbbell();
-        let flows = vec![
-            spec(0, s[0], s[2], 1.25e9, 0.0),
-            spec(1, s[1], s[3], 0.625e9, 0.25),
-        ];
-        let cfg = SimConfig {
-            link_failures: vec![LinkFailure {
-                time: 0.5,
-                link: core,
-            }],
-            record_series: true,
-            ..SimConfig::default()
-        };
-        let plain = simulate(&g, &flows, &cfg);
-        let traced = try_simulate_traced(&g, &flows, &cfg, &mut NoopSink).expect("valid input");
-        assert_eq!(plain.records, traced.records);
-        assert_eq!(plain.series.len(), traced.series.len());
-        for (a, b) in plain.series.iter().zip(&traced.series) {
-            assert_eq!(a.0.to_bits(), b.0.to_bits());
-            assert_eq!(a.1.to_bits(), b.1.to_bits());
-        }
-        assert_eq!(plain.end_time.to_bits(), traced.end_time.to_bits());
     }
 
     /// The traced run must not perturb the simulation: same records as
@@ -1374,10 +1435,15 @@ mod tests {
         plan.flap(core, 0.5, Some(2.0));
         let sched = plan.compile(&g).expect("valid plan");
         let cfg = SimConfig::default();
-        let plain = simulate_under_faults(&g, &flows, &cfg, &sched).expect("valid input");
+        let plain = run_faulted(&g, &flows, &cfg, &sched);
         let mut ring = obs::RingSink::unbounded();
-        let traced =
-            simulate_under_faults_traced(&g, &flows, &cfg, &sched, &mut ring).expect("valid input");
+        let opts = RunOpts {
+            provider: None,
+            faults: Some(&sched),
+            telemetry: None,
+            sink: &mut ring,
+        };
+        let traced = run(&g, &flows, &cfg, opts).expect("valid input");
         assert_eq!(plain.result.records, traced.result.records);
         let events = ring.into_events();
         let count = |name: &str| events.iter().filter(|e| e.name() == name).count();
@@ -1453,7 +1519,7 @@ mod tests {
                     link_failures: failures,
                     record_series: true,
                 };
-                let new = simulate(&g, &flows, &cfg);
+                let new = run_plain(&g, &flows, &cfg);
                 let old = crate::reference::simulate_reference(&g, &flows, &cfg);
                 assert_eq!(new.records, old.records, "{transport:?}");
                 assert_eq!(new.series.len(), old.series.len());

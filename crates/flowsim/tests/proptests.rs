@@ -1,10 +1,17 @@
 //! Property tests for the fluid simulator.
 
-use flowsim::{simulate, FailedLinks, FaultPlan, FlowSpec, SimConfig, Transport};
+use flowsim::{run, FailedLinks, FaultPlan, FlowSpec, RunOpts, SimConfig, SimResult, Transport};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use topology::ClosParams;
+
+/// A run with default options on a valid workload.
+fn run_plain(g: &netgraph::Graph, flows: &[FlowSpec], cfg: &SimConfig) -> SimResult {
+    run(g, flows, cfg, RunOpts::default())
+        .expect("valid workload")
+        .result
+}
 
 fn mini_net() -> topology::DcNetwork {
     ClosParams::mini().build().net
@@ -51,7 +58,7 @@ proptest! {
             transport: if mptcp { Transport::mptcp8() } else { Transport::TcpEcmp },
             ..SimConfig::default()
         };
-        let res = simulate(&net.graph, &flows, &cfg);
+        let res = run_plain(&net.graph, &flows, &cfg);
         for (r, f) in res.records.iter().zip(&flows) {
             let fct = r.fct();
             prop_assert!(fct.is_some(), "flow {} never finished", f.id);
@@ -80,8 +87,8 @@ proptest! {
                 start,
             })
             .collect();
-        let a = simulate(&net.graph, &flows, &SimConfig::default());
-        let b = simulate(&net.graph, &flows, &SimConfig::default());
+        let a = run_plain(&net.graph, &flows, &SimConfig::default());
+        let b = run_plain(&net.graph, &flows, &SimConfig::default());
         prop_assert_eq!(a.records, b.records);
     }
 
@@ -104,11 +111,11 @@ proptest! {
                 start: 0.0,
             })
             .collect();
-        let ecmp = simulate(&net.graph, &flows, &SimConfig {
+        let ecmp = run_plain(&net.graph, &flows, &SimConfig {
             transport: Transport::TcpEcmp,
             ..SimConfig::default()
         });
-        let mptcp = simulate(&net.graph, &flows, &SimConfig::default());
+        let mptcp = run_plain(&net.graph, &flows, &SimConfig::default());
         let makespan = |r: &flowsim::SimResult| {
             r.records.iter().filter_map(|x| x.finish).fold(0.0f64, f64::max)
         };
@@ -184,15 +191,18 @@ proptest! {
         let mut plan = FaultPlan::new(seed);
         plan.random_link_flaps(&cables, fraction, 0.3, (0.0, 1.0));
         let sched = plan.compile(&net.graph).unwrap();
-        let out = flowsim::simulate_under_faults(&net.graph, &flows, &SimConfig::default(), &sched)
-            .expect("valid workload");
+        let cfg = SimConfig::default();
+        let faulted = || RunOpts {
+            faults: Some(&sched),
+            ..RunOpts::default()
+        };
+        let out = run(&net.graph, &flows, &cfg, faulted()).expect("valid workload");
         prop_assert_eq!(out.audit.violations(), 0, "auditor flagged: {:?}", out.audit);
         for r in &out.result.records {
             prop_assert!(r.finish.is_some(), "flow {} never finished: {:?}", r.id, out.audit);
         }
         // Determinism of the faulted path.
-        let again = flowsim::simulate_under_faults(&net.graph, &flows, &SimConfig::default(), &sched)
-            .expect("valid workload");
+        let again = run(&net.graph, &flows, &cfg, faulted()).expect("valid workload");
         prop_assert_eq!(out.result.records, again.result.records);
         prop_assert_eq!(out.audit, again.audit);
     }
@@ -255,7 +265,7 @@ mod incremental_engine {
                 link_failures,
                 record_series: true,
             };
-            let new = simulate(&net.graph, &flows, &cfg);
+            let new = run_plain(&net.graph, &flows, &cfg);
             let old = simulate_reference(&net.graph, &flows, &cfg);
             prop_assert_eq!(&new.records, &old.records);
             prop_assert_eq!(new.series.len(), old.series.len());
@@ -309,8 +319,15 @@ mod incremental_engine {
         // a single staggered arrival count, not scale with the batch.
         let batched = mk(&[0.1; 8]);
         let mut sink = AllocCounter { epochs: 0 };
-        let res = flowsim::try_simulate_traced(&net.graph, &batched, &cfg, &mut sink)
-            .expect("valid workload");
+        let opts = RunOpts {
+            provider: None,
+            faults: None,
+            telemetry: None,
+            sink: &mut sink,
+        };
+        let res = run(&net.graph, &batched, &cfg, opts)
+            .expect("valid workload")
+            .result;
         // Epochs: t=0 bootstrap, the t=0.1 batch, then one per
         // distinct completion instant — never one per arrival.
         let distinct_finishes = {

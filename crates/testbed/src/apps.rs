@@ -19,7 +19,7 @@
 
 use crate::rig::TestbedRig;
 use flat_tree::PodMode;
-use flowsim::{simulate, FlowSpec, SimConfig, Transport};
+use flowsim::{run, FlowSpec, RunOpts, SimConfig, Transport};
 use serde::{Deserialize, Serialize};
 use traffic::apps::{shuffle_pairs, torrent_broadcast_rounds};
 
@@ -90,7 +90,9 @@ pub fn spark_broadcast(rig: &TestbedRig, mode: PodMode, params: &AppParams) -> A
                 start: 0.0,
             })
             .collect();
-        let res = simulate(&inst.net.graph, &flows, &cfg);
+        let res = run(&inst.net.graph, &flows, &cfg, RunOpts::default())
+            .expect("testbed flows are valid")
+            .result;
         let round_time = res
             .records
             .iter()
@@ -137,7 +139,9 @@ pub fn hadoop_shuffle(rig: &TestbedRig, mode: PodMode, params: &AppParams) -> Ap
         transport: transport(rig),
         ..SimConfig::default()
     };
-    let res = simulate(&inst.net.graph, &flows, &cfg);
+    let res = run(&inst.net.graph, &flows, &cfg, RunOpts::default())
+        .expect("testbed flows are valid")
+        .result;
     let fcts: Vec<f64> = res
         .records
         .iter()

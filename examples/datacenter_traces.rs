@@ -5,7 +5,7 @@
 //! Run with: `cargo run -p ft-bench --release --example datacenter_traces`
 
 use flat_tree::{FlatTree, FlatTreeParams, ModeAssignment, PodMode};
-use flowsim::{simulate, FlowSpec, SimConfig, Transport};
+use flowsim::{run, FlowSpec, RunOpts, SimConfig, Transport};
 use topology::ClosParams;
 use traffic::traces::{measure_locality, TraceParams};
 
@@ -50,14 +50,13 @@ fn main() {
                 start: f.start,
             })
             .collect();
-        let res = simulate(
-            &inst.net.graph,
-            &flows,
-            &SimConfig {
-                transport: Transport::mptcp8(),
-                ..SimConfig::default()
-            },
-        );
+        let cfg = SimConfig {
+            transport: Transport::mptcp8(),
+            ..SimConfig::default()
+        };
+        let res = run(&inst.net.graph, &flows, &cfg, RunOpts::default())
+            .expect("valid workload")
+            .result;
         let fcts = res.sorted_fcts();
         println!(
             "{:>6} mode: mean FCT {:.2} ms, median {:.2} ms, p99 {:.2} ms",

@@ -10,7 +10,7 @@
 //! Run with: `cargo run -p ft-bench --release --example hybrid_zones`
 
 use flat_tree::{FlatTree, FlatTreeParams, ModeAssignment, PodMode};
-use flowsim::{simulate, FlowSpec, SimConfig, Transport};
+use flowsim::{run, FlowSpec, RunOpts, SimConfig, Transport};
 use topology::ClosParams;
 
 fn zone_flows(
@@ -49,17 +49,16 @@ fn zone_flows(
 }
 
 fn mean_fct(inst: &flat_tree::FlatTreeInstance, flows: &[FlowSpec]) -> f64 {
-    let res = simulate(
-        &inst.net.graph,
-        flows,
-        &SimConfig {
-            transport: Transport::Mptcp {
-                k: 4,
-                coupled: true,
-            },
-            ..SimConfig::default()
+    let cfg = SimConfig {
+        transport: Transport::Mptcp {
+            k: 4,
+            coupled: true,
         },
-    );
+        ..SimConfig::default()
+    };
+    let res = run(&inst.net.graph, flows, &cfg, RunOpts::default())
+        .expect("valid workload")
+        .result;
     res.mean_fct().expect("flows complete")
 }
 

@@ -4,7 +4,7 @@
 //! Run with: `cargo run -p ft-bench --release --example quickstart`
 
 use flat_tree::{FlatTree, FlatTreeParams, ModeAssignment, PodMode};
-use flowsim::{simulate, FlowSpec, SimConfig, Transport};
+use flowsim::{run, FlowSpec, RunOpts, SimConfig, Transport};
 use netgraph::metrics;
 use routing::RouteTable;
 use topology::ClosParams;
@@ -59,14 +59,16 @@ fn main() {
         bytes: 1e9,
         start: 0.0,
     }];
-    let res = simulate(
-        &global.net.graph,
-        &flows,
-        &SimConfig {
-            transport: Transport::mptcp8(),
-            ..SimConfig::default()
-        },
-    );
+    let cfg = SimConfig {
+        transport: Transport::mptcp8(),
+        ..SimConfig::default()
+    };
+    // `RunOpts::default()` routes with the provider `cfg.transport`
+    // selects. Its fields add a custom provider, a fault schedule,
+    // allocator telemetry or a trace sink.
+    let res = run(&global.net.graph, &flows, &cfg, RunOpts::default())
+        .expect("valid workload")
+        .result;
     println!(
         "1 GB transfer: {:.3} s at {:.2} Gbps average",
         res.records[0].fct().unwrap(),

@@ -2,7 +2,7 @@
 //! the cross-crate invariants on which the experiments rest.
 
 use flat_tree::PodMode;
-use flowsim::{simulate, SimConfig, Transport};
+use flowsim::{run, RunOpts, SimConfig, Transport};
 use ft_bench::experiments::common;
 use ft_bench::Scale;
 use routing::RouteTable;
@@ -38,14 +38,13 @@ fn build_route_simulate_mini_topo1() {
                 start: f.start,
             })
             .collect();
-        let res = simulate(
-            &inst.net.graph,
-            &flows,
-            &SimConfig {
-                transport: Transport::mptcp8(),
-                ..SimConfig::default()
-            },
-        );
+        let cfg = SimConfig {
+            transport: Transport::mptcp8(),
+            ..SimConfig::default()
+        };
+        let res = run(&inst.net.graph, &flows, &cfg, RunOpts::default())
+            .expect("valid workload")
+            .result;
         assert!(
             res.records.iter().all(|r| r.finish.is_some()),
             "{mode:?}: all flows must complete on a healthy network"
