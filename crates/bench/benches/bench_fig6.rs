@@ -13,7 +13,13 @@ fn bench(c: &mut Criterion) {
     let inst = common::instance(&ft, PodMode::Global);
     let pairs = permutation(inst.net.num_servers(), 1);
     c.bench_function("fig6/mptcp_rates_k8", |b| {
-        b.iter(|| common::mptcp_rates(&inst.net, &pairs, 8));
+        b.iter(|| {
+            common::mptcp_rates(
+                &inst.net,
+                &pairs,
+                &common::route_table(&inst.net, &pairs, 8),
+            )
+        });
     });
     let coms = common::commodities(&inst.net, &pairs, 10.0);
     c.bench_function("fig6/lp_avg_greedy", |b| {

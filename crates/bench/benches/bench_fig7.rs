@@ -14,7 +14,11 @@ fn bench(c: &mut Criterion) {
     let pairs = clustered_all_to_all(inst.net.num_servers(), 8);
     c.bench_function("fig7/throughput_distribution", |b| {
         b.iter(|| {
-            let rates = common::mptcp_rates(&inst.net, &pairs, 8);
+            let rates = common::mptcp_rates(
+                &inst.net,
+                &pairs,
+                &common::route_table(&inst.net, &pairs, 8),
+            );
             summary(&rates)
         });
     });

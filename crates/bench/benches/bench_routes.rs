@@ -1,6 +1,6 @@
 //! Criterion bench for the shared route plane: the parallel full-table
-//! precompute, the failure-overlay recompute (only footprint-affected
-//! pairs re-run Yen), and the failure-epoch simulation that motivated
+//! precompute, one failure set applied to every pair through the
+//! failure rule (only footprint-affected pairs re-run Yen), and the failure-epoch simulation that motivated
 //! the fix — switch-level splicing under faults against the old
 //! server-level re-Yen per server pair (kept here as the oracle
 //! provider). All variants are bit-identical in output (pinned by
@@ -18,7 +18,7 @@ use flowsim::sim::FlowSpec;
 use flowsim::{run, FailedLinks, LinkFailure, RunOpts, SimConfig, Transport};
 use ft_bench::experiments::common;
 use netgraph::{ecmp, yen, Graph, LinkId, NodeId, PathArena, PathId};
-use routing::SharedRouteTable;
+use routing::{ksp, RouteTable};
 use std::collections::HashMap;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -165,27 +165,35 @@ fn bench(c: &mut Criterion) {
     // Full-table parallel precompute (what perfsnap records as
     // `route_precompute`), and the same build pinned to one worker.
     c.bench_function("route_plane/precompute_full", |b| {
-        b.iter(|| black_box(SharedRouteTable::build(g, k)));
+        b.iter(|| black_box(RouteTable::build(g, k)));
     });
+    let pairs = RouteTable::ingress_pairs(g);
     c.bench_function("route_plane/precompute_full_1thread", |b| {
-        let pairs = SharedRouteTable::ingress_pairs(g);
-        b.iter(|| {
-            black_box(SharedRouteTable::build_for_pairs_with_threads(
-                g, k, &pairs, 1,
-            ))
-        });
+        b.iter(|| black_box(RouteTable::build_for_pairs_with_threads(g, k, &pairs, 1)));
     });
 
-    // Overlay recompute for one dead cable: only the switch pairs whose
-    // footprint crosses it re-run Yen.
-    let table = SharedRouteTable::build(g, k);
+    // One dead cable applied to every pair of the table: only the switch
+    // pairs whose footprint crosses it re-run Yen.
+    let table = RouteTable::build(g, k);
     let cable = first_cable(g);
-    let mut down = vec![cable];
-    if let Some(r) = g.link(cable).reverse {
-        down.push(r);
-    }
-    c.bench_function("route_plane/overlay_one_cable", |b| {
-        b.iter(|| black_box(table.overlay(g, &down)));
+    let reverse = g.link(cable).reverse;
+    let is_down = |l| l == cable || Some(l) == reverse;
+    c.bench_function("route_plane/one_cable_down", |b| {
+        b.iter(|| {
+            let mut masked = ksp::MaskedPaths::new();
+            for &(a, z) in &pairs {
+                let routes = table.get(a, z).expect("full table");
+                black_box(ksp::switch_paths_under(
+                    g,
+                    k,
+                    (a, z),
+                    routes,
+                    is_down,
+                    &mut masked,
+                ));
+            }
+            masked
+        });
     });
 
     // The failure-epoch simulation itself: fixed provider vs the old

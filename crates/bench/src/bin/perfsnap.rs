@@ -32,7 +32,8 @@ use ft_bench::dispatch::{self, DispatchConfig};
 use ft_bench::experiments::{common, faultsweep};
 use ft_bench::{sweep, Scale};
 use netgraph::{Graph, LinkId};
-use routing::SharedRouteTable;
+use routing::RouteTable;
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -59,7 +60,7 @@ impl TraceSink for CountingSink {
 enum Routing {
     Lazy,
     SharedMptcp {
-        table: Arc<SharedRouteTable>,
+        table: Arc<RouteTable>,
         coupled: bool,
     },
 }
@@ -233,9 +234,9 @@ fn measure_sim(
 /// flat-tree — the table every experiment cell now shares. `events`
 /// is the number of precomputed switch pairs. Returns the table so the
 /// MPTCP sim workloads run over it.
-fn measure_route_precompute(net: &DcNetwork) -> (Arc<SharedRouteTable>, Snapshot) {
+fn measure_route_precompute(net: &DcNetwork) -> (Arc<RouteTable>, Snapshot) {
     let t0 = Instant::now();
-    let table = Arc::new(SharedRouteTable::build(&net.graph, 8));
+    let table = Arc::new(RouteTable::build(&net.graph, 8));
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let pairs = table.pair_count() as u64;
     let snap = Snapshot {
@@ -363,84 +364,110 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     Ok(parsed)
 }
 
-fn render_json(smoke: bool, snaps: &[Snapshot]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": \"bench_sim/v2\",\n");
-    s.push_str(&format!("  \"smoke\": {smoke},\n"));
-    s.push_str("  \"workloads\": {\n");
-    for (i, snap) in snaps.iter().enumerate() {
-        let comma = if i + 1 < snaps.len() { "," } else { "" };
-        let alloc = match &snap.alloc {
-            Some(t) => format!(
-                ", \"alloc\": {{\"epochs\": {}, \"rounds\": {}, \"dirty_links\": {}, \"dirty_entities\": {}, \"reused_rates\": {}, \"scan_savings\": {:.4}}}",
-                t.epochs, t.rounds, t.dirty_links, t.dirty_entities, t.reused_rates, t.scan_savings(),
-            ),
-            None => String::new(),
-        };
-        let retries = match snap.retries {
-            Some(r) => format!(", \"retries\": {r}"),
-            None => String::new(),
-        };
-        s.push_str(&format!(
-            "    \"{}\": {{\"wall_ms\": {:.3}, \"events\": {}, \"events_per_s\": {:.1}, \"peak_rss_kb\": {}{retries}{alloc}}}{comma}\n",
-            snap.name,
-            snap.wall_ms,
-            snap.events,
-            snap.events_per_s(),
-            snap.peak_rss_kb,
-        ));
-    }
-    s.push_str("  }\n}\n");
-    s
+/// The `BENCH_sim.json` body (schema `bench_sim/v3`): one record per
+/// workload, in run order.
+#[derive(Serialize)]
+struct BenchFile {
+    schema: String,
+    smoke: bool,
+    workloads: Vec<Record>,
 }
 
-/// Pulls `(workload, events_per_s)` pairs out of a `BENCH_sim.json`
-/// body. One workload per line; tolerant of both v1 and v2 layouts.
-fn extract_events_per_s(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let Some(tail) = line.split("\"events_per_s\":").nth(1) else {
-            continue;
-        };
-        // Take the raw token (up to the next delimiter) and let parse
-        // failures surface as NaN, not 0.0: a snapshot that somehow
-        // contains "NaN"/"inf"/garbage must be *flagged* by the floor
-        // check, never silently treated as a floorless workload.
-        let value: f64 = tail
-            .trim_start()
-            .chars()
-            .take_while(|c| !matches!(c, ',' | '}' | ' ' | '\n'))
-            .collect::<String>()
-            .parse()
-            .unwrap_or(f64::NAN);
-        let name = line
-            .trim_start()
-            .trim_start_matches('"')
-            .split('"')
-            .next()
-            .unwrap_or("")
-            .to_string();
-        if !name.is_empty() {
-            out.push((name, value));
+/// One workload of a [`BenchFile`]. `retries` is set for the
+/// `dispatch_*` workloads and `alloc` for the shared-table MPTCP ones;
+/// both are `null` elsewhere.
+#[derive(Serialize)]
+struct Record {
+    name: String,
+    wall_ms: f64,
+    events: u64,
+    events_per_s: f64,
+    peak_rss_kb: u64,
+    retries: Option<u64>,
+    alloc: Option<AllocRecord>,
+}
+
+/// The incremental allocator's effort counters of one workload.
+#[derive(Serialize)]
+struct AllocRecord {
+    epochs: u64,
+    rounds: u64,
+    dirty_links: u64,
+    dirty_entities: u64,
+    reused_rates: u64,
+    scan_savings: f64,
+}
+
+/// What `--check` reads from a committed snapshot; every other key is
+/// skipped, so only a missing name or rate fails the parse.
+#[derive(Deserialize)]
+struct Floors {
+    workloads: Vec<Floor>,
+}
+
+#[derive(Deserialize)]
+struct Floor {
+    name: String,
+    events_per_s: f64,
+}
+
+/// `x` rounded to `digits` decimals, so the snapshot stays readable.
+fn round(x: f64, digits: i32) -> f64 {
+    let scale = 10f64.powi(digits);
+    (x * scale).round() / scale
+}
+
+impl Snapshot {
+    fn record(&self) -> Record {
+        Record {
+            name: self.name.to_string(),
+            wall_ms: round(self.wall_ms, 3),
+            events: self.events,
+            events_per_s: round(self.events_per_s(), 1),
+            peak_rss_kb: self.peak_rss_kb,
+            retries: self.retries,
+            alloc: self.alloc.map(|t| AllocRecord {
+                epochs: t.epochs,
+                rounds: t.rounds,
+                dirty_links: t.dirty_links,
+                dirty_entities: t.dirty_entities,
+                reused_rates: t.reused_rates,
+                scan_savings: round(t.scan_savings(), 4),
+            }),
         }
     }
-    out
 }
 
-/// Enforces the regression floor: every workload present in both
-/// snapshots must reach [`FLOOR_FRACTION`] of its committed
+/// Enforces the regression floor: every committed workload must be in
+/// the fresh run and reach [`FLOOR_FRACTION`] of its committed
 /// `events_per_s`. Returns the violations.
 ///
 /// Degenerate values on *either* side are violations, not skips: a
-/// fresh NaN/zero rate means the run measured nothing (the old code
-/// let `NaN < floor` evaluate false and pass), and a committed
-/// NaN/zero floor means the snapshot itself is unusable as a gate.
-fn check_floors(fresh: &str, committed: &str) -> Vec<String> {
-    let fresh = extract_events_per_s(fresh);
+/// fresh NaN/zero rate means the run measured nothing, and a committed
+/// NaN/zero/unparsable floor means the snapshot itself is unusable as a
+/// gate. Workloads only in the fresh run have no floor yet.
+fn check_floors(fresh: &[Record], committed: &str) -> Vec<String> {
+    let floors: Floors = match serde_json::from_str(committed) {
+        Ok(floors) => floors,
+        Err(e) => {
+            return vec![format!(
+                "committed snapshot does not parse ({}) — regenerate it; \
+                 its workloads cannot be gated",
+                e.msg
+            )]
+        }
+    };
     let mut violations = Vec::new();
-    for (name, floor) in extract_events_per_s(committed) {
-        let Some((_, got)) = fresh.iter().find(|(n, _)| *n == name) else {
+    for Floor { name, events_per_s } in floors.workloads {
+        let floor = events_per_s;
+        let Some(got) = fresh
+            .iter()
+            .find(|r| r.name == name)
+            .map(|r| r.events_per_s)
+        else {
+            violations.push(format!(
+                "{name}: committed workload is missing from the fresh run"
+            ));
             continue;
         };
         if !(floor.is_finite() && floor > 0.0) {
@@ -450,14 +477,14 @@ fn check_floors(fresh: &str, committed: &str) -> Vec<String> {
             ));
             continue;
         }
-        if !(got.is_finite() && *got > 0.0) {
+        if !(got.is_finite() && got > 0.0) {
             violations.push(format!(
                 "{name}: fresh events_per_s {got} is degenerate (zero-duration or \
                  zero-event run) — the measurement is broken, not slow",
             ));
             continue;
         }
-        if *got < floor * FLOOR_FRACTION {
+        if got < floor * FLOOR_FRACTION {
             let need = floor * FLOOR_FRACTION;
             violations.push(format!(
                 "{name}: {got:.1} events/s < floor {need:.1} ({FLOOR_FRACTION}x of committed {floor:.1})",
@@ -580,11 +607,15 @@ fn main() {
         std::process::exit(1);
     }
 
-    let json = render_json(args.smoke, &snaps);
+    let file = BenchFile {
+        schema: "bench_sim/v3".to_string(),
+        smoke: args.smoke,
+        workloads: snaps.iter().map(Snapshot::record).collect(),
+    };
     if let Some(check_path) = &args.check {
         match std::fs::read_to_string(check_path) {
             Ok(committed) => {
-                let violations = check_floors(&json, &committed);
+                let violations = check_floors(&file.workloads, &committed);
                 if !violations.is_empty() {
                     for v in &violations {
                         eprintln!("perfsnap: FLOOR VIOLATION {v}");
@@ -599,6 +630,7 @@ fn main() {
             }
         }
     }
+    let json = serde_json::to_string_pretty(&file).expect("snapshot serializes") + "\n";
     if let Err(e) = std::fs::write(&args.out, &json) {
         eprintln!("perfsnap: cannot write {}: {e}", args.out);
         std::process::exit(1);
@@ -647,26 +679,58 @@ mod tests {
         assert!(v[0].contains("zero_wall"), "{v:?}");
     }
 
+    /// Fresh records with the given `events_per_s`.
+    fn fresh(entries: &[(&str, f64)]) -> Vec<Record> {
+        entries
+            .iter()
+            .map(|&(name, events_per_s)| Record {
+                name: name.to_string(),
+                wall_ms: 1.0,
+                events: 1,
+                events_per_s,
+                peak_rss_kb: 0,
+                retries: None,
+                alloc: None,
+            })
+            .collect()
+    }
+
+    /// A committed `bench_sim/v3` body with raw `events_per_s` tokens.
     fn body(entries: &[(&str, &str)]) -> String {
-        let mut s = String::from("{\n  \"workloads\": {\n");
-        for (name, eps) in entries {
-            s.push_str(&format!(
-                "    \"{name}\": {{\"wall_ms\": 1.0, \"events\": 1, \"events_per_s\": {eps}, \"peak_rss_kb\": 0}},\n"
-            ));
-        }
-        s.push_str("  }\n}\n");
-        s
+        let workloads: Vec<String> = entries
+            .iter()
+            .map(|(name, eps)| {
+                format!(
+                    "{{\"name\": \"{name}\", \"wall_ms\": 1.0, \"events\": 1, \"events_per_s\": {eps}, \"peak_rss_kb\": 0}}"
+                )
+            })
+            .collect();
+        format!(
+            "{{\"schema\": \"bench_sim/v3\", \"smoke\": false, \"workloads\": [{}]}}",
+            workloads.join(", ")
+        )
     }
 
     #[test]
     fn healthy_floors_pass_and_regressions_fail() {
         let committed = body(&[("sim", "1000.0")]);
-        assert!(check_floors(&body(&[("sim", "900.0")]), &committed).is_empty());
-        let v = check_floors(&body(&[("sim", "100.0")]), &committed);
+        assert!(check_floors(&fresh(&[("sim", 900.0)]), &committed).is_empty());
+        let v = check_floors(&fresh(&[("sim", 100.0)]), &committed);
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("< floor"), "{v:?}");
-        // Workloads only on one side are not gated.
-        assert!(check_floors(&body(&[("other", "1.0")]), &committed).is_empty());
+        // A workload only in the fresh run has no floor yet.
+        let both = fresh(&[("sim", 900.0), ("other", 1.0)]);
+        assert!(check_floors(&both, &committed).is_empty());
+    }
+
+    /// A committed workload the fresh run no longer produces fails the
+    /// check instead of passing unseen.
+    #[test]
+    fn missing_fresh_workload_is_a_violation() {
+        let committed = body(&[("sim", "1000.0"), ("gone", "5.0")]);
+        let v = check_floors(&fresh(&[("sim", 900.0)]), &committed);
+        assert_eq!(v.len(), 1);
+        assert!(v[0].contains("gone") && v[0].contains("missing"), "{v:?}");
     }
 
     /// Regression: NaN/zero fresh values must FAIL the check, not slide
@@ -674,8 +738,8 @@ mod tests {
     #[test]
     fn degenerate_fresh_values_are_violations() {
         let committed = body(&[("sim", "1000.0")]);
-        for bad in ["NaN", "0.0", "-3.0", "inf"] {
-            let v = check_floors(&body(&[("sim", bad)]), &committed);
+        for bad in [f64::NAN, 0.0, -3.0, f64::INFINITY] {
+            let v = check_floors(&fresh(&[("sim", bad)]), &committed);
             assert_eq!(v.len(), 1, "fresh {bad} must be flagged");
             assert!(v[0].contains("degenerate"), "{v:?}");
         }
@@ -685,7 +749,7 @@ mod tests {
     /// be reported, not silently skipped as "no floor".
     #[test]
     fn unusable_committed_floors_are_violations() {
-        let fresh = body(&[("sim", "500.0")]);
+        let fresh = fresh(&[("sim", 500.0)]);
         for bad in ["NaN", "0.0", "inf", "bogus"] {
             let v = check_floors(&fresh, &body(&[("sim", bad)]));
             assert_eq!(v.len(), 1, "committed {bad} must be flagged");
@@ -693,12 +757,36 @@ mod tests {
         }
     }
 
+    /// A committed snapshot the parser cannot read as floors — the old
+    /// object layout, or a workload without a rate — fails the check.
     #[test]
-    fn extract_surfaces_parse_failures_as_nan() {
-        let got = extract_events_per_s(&body(&[("a", "12.5"), ("b", "wat")]));
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0], ("a".to_string(), 12.5));
-        assert_eq!(got[1].0, "b");
-        assert!(got[1].1.is_nan());
+    fn committed_floors_parse_strictly() {
+        let fresh = fresh(&[("sim", 500.0)]);
+        let v2 = r#"{"workloads": {"sim": {"wall_ms": 1.0, "events_per_s": 1000.0}}}"#;
+        let no_rate = r#"{"workloads": [{"name": "sim", "wall_ms": 1.0}]}"#;
+        for committed in [v2, no_rate] {
+            let v = check_floors(&fresh, committed);
+            assert_eq!(v.len(), 1, "{committed}");
+            assert!(v[0].contains("cannot be gated"), "{v:?}");
+        }
+    }
+
+    /// What perfsnap writes is a committed snapshot it can gate against.
+    #[test]
+    fn written_snapshot_reads_back_as_floors() {
+        let mut sim = snap("sim", 2000.0, 100);
+        sim.alloc = Some(AllocTelemetry::default());
+        sim.retries = Some(0);
+        let file = BenchFile {
+            schema: "bench_sim/v3".to_string(),
+            smoke: true,
+            workloads: [sim, snap("route", 1.5, 3)]
+                .iter()
+                .map(Snapshot::record)
+                .collect(),
+        };
+        let json = serde_json::to_string_pretty(&file).unwrap();
+        assert!(json.contains("\"events_per_s\": 50.0"), "{json}");
+        assert!(check_floors(&file.workloads, &json).is_empty());
     }
 }

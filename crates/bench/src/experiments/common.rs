@@ -4,7 +4,7 @@ use flat_tree::{FlatTree, FlatTreeInstance, FlatTreeParams, ModeAssignment, PodM
 use flowsim::alloc::{connection_rates, ConnPaths};
 use mcf::Commodity;
 use netgraph::NodeId;
-use routing::{RouteTable, SharedRouteTable};
+use routing::{ksp, RouteTable};
 use std::sync::Arc;
 use topology::{ClosParams, DcNetwork};
 
@@ -88,14 +88,25 @@ pub fn instance(ft: &FlatTree, mode: PodMode) -> FlatTreeInstance {
 }
 
 /// Steady-state per-connection MPTCP rates (Gbps) for a batch of
-/// (src index, dst index) pairs. Coupled subflows over k-shortest paths.
-pub fn mptcp_rates(net: &DcNetwork, pairs: &[(usize, usize)], k: usize) -> Vec<f64> {
+/// (src index, dst index) pairs: coupled subflows over the k-shortest
+/// paths of a table that covers every pair's switch pair (see
+/// [`route_table`]).
+pub fn mptcp_rates(net: &DcNetwork, pairs: &[(usize, usize)], table: &RouteTable) -> Vec<f64> {
     let g = &net.graph;
-    let mut rt = RouteTable::new(k);
+    let mut masked = ksp::MaskedPaths::new();
     let conns: Vec<ConnPaths> = pairs
         .iter()
         .map(|&(s, d)| {
-            let paths = rt.server_paths(g, net.servers[s], net.servers[d]);
+            let (src, dst) = (net.servers[s], net.servers[d]);
+            let paths = ksp::server_paths_under(
+                g,
+                table.k(),
+                src,
+                dst,
+                |_| false,
+                &mut masked,
+                |a, b| table.get(a, b).expect("pair covered by the route table"),
+            );
             assert!(!paths.is_empty(), "pair ({s},{d}) unroutable");
             let w = 1.0 / paths.len() as f64;
             ConnPaths {
@@ -121,45 +132,14 @@ pub fn switch_pairs(net: &DcNetwork, pairs: &[(usize, usize)]) -> Vec<(NodeId, N
         .collect()
 }
 
-/// One parallel-precomputed route table covering a pair batch at `k`,
-/// built once and shared (via `Arc`) by every cell that routes it —
-/// instead of a private lazy [`RouteTable`] per cell.
-pub fn shared_route_table(
-    net: &DcNetwork,
-    pairs: &[(usize, usize)],
-    k: usize,
-) -> Arc<SharedRouteTable> {
-    Arc::new(SharedRouteTable::build_for_pairs(
+/// One parallel-built route table covering a pair batch at `k`, shared
+/// (via `Arc`) by every cell that routes it.
+pub fn route_table(net: &DcNetwork, pairs: &[(usize, usize)], k: usize) -> Arc<RouteTable> {
+    Arc::new(RouteTable::build_for_pairs(
         &net.graph,
         k,
         &switch_pairs(net, pairs),
     ))
-}
-
-/// [`mptcp_rates`] over a precomputed shared route table. The spliced
-/// path sets are identical to the lazy per-cell table's, so the rates
-/// are bit-for-bit the same; only the Yen runs are shared and parallel.
-pub fn mptcp_rates_shared(
-    net: &DcNetwork,
-    pairs: &[(usize, usize)],
-    table: &SharedRouteTable,
-) -> Vec<f64> {
-    let g = &net.graph;
-    let conns: Vec<ConnPaths> = pairs
-        .iter()
-        .map(|&(s, d)| {
-            let paths = table
-                .server_paths(g, net.servers[s], net.servers[d])
-                .expect("pair covered by the shared table");
-            assert!(!paths.is_empty(), "pair ({s},{d}) unroutable");
-            let w = 1.0 / paths.len() as f64;
-            ConnPaths {
-                paths,
-                subflow_weight: w,
-            }
-        })
-        .collect();
-    connection_rates(&g.capacities(), &conns)
 }
 
 /// Index pairs → unit-demand commodities with NIC-rate demand.
@@ -232,10 +212,13 @@ mod tests {
         let inst = instance(&ft, PodMode::Global);
         let pairs = traffic::patterns::permutation(inst.net.num_servers(), 7);
         for k in [4usize, 8] {
-            let table = shared_route_table(&inst.net, &pairs, k);
+            let mut lazy = RouteTable::new(k);
+            for &(a, b) in &switch_pairs(&inst.net, &pairs) {
+                lazy.get_or_compute(&inst.net.graph, a, b);
+            }
             assert_eq!(
-                mptcp_rates_shared(&inst.net, &pairs, &table),
-                mptcp_rates(&inst.net, &pairs, k),
+                mptcp_rates(&inst.net, &pairs, &route_table(&inst.net, &pairs, k)),
+                mptcp_rates(&inst.net, &pairs, &lazy),
                 "k={k}"
             );
         }
@@ -246,7 +229,7 @@ mod tests {
         let ft = flat_tree_over(mini_topo(2));
         let inst = instance(&ft, PodMode::Global);
         let pairs = traffic::patterns::permutation(inst.net.num_servers(), 3);
-        let rates = mptcp_rates(&inst.net, &pairs, 8);
+        let rates = mptcp_rates(&inst.net, &pairs, &route_table(&inst.net, &pairs, 8));
         assert_eq!(rates.len(), pairs.len());
         assert!(rates.iter().all(|&r| r > 0.0 && r <= nic_gbps() + 1e-6));
     }

@@ -10,7 +10,7 @@ use crate::Scale;
 use flat_tree::{FlatTreeInstance, PodMode};
 use mcf::concurrent::max_concurrent_flow;
 use mcf::greedy::{max_total_flow, mean};
-use routing::SharedRouteTable;
+use routing::RouteTable;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use topology::DcNetwork;
@@ -64,7 +64,7 @@ struct Job<'a> {
     net: &'a DcNetwork,
     tname: String,
     pairs: Vec<(usize, usize)>,
-    tables: Arc<[Arc<SharedRouteTable>]>,
+    tables: Arc<[Arc<RouteTable>]>,
 }
 
 /// Runs all panels: the (panel, traffic) cells are independent, so they
@@ -90,9 +90,9 @@ pub fn run(scale: Scale) -> Vec<Cell> {
             // panel's traffic pairs; all four cells share them.
             let union: Vec<(usize, usize)> =
                 tr.iter().flat_map(|(_, p)| p.iter().copied()).collect();
-            let tables: Arc<[Arc<SharedRouteTable>]> = ks
+            let tables: Arc<[Arc<RouteTable>]> = ks
                 .iter()
-                .map(|&k| common::shared_route_table(net, &union, k))
+                .map(|&k| common::route_table(net, &union, k))
                 .collect();
             tr.into_iter().map(move |(tname, pairs)| Job {
                 topo: *topo_idx,
@@ -117,7 +117,7 @@ pub fn run(scale: Scale) -> Vec<Cell> {
         let lp_avg = mean(&max_total_flow(&net.graph, &coms)).max(lp_min_avg);
         let mut mptcp = [0.0f64; 3];
         for (i, table) in job.tables.iter().enumerate() {
-            let rates = common::mptcp_rates_shared(net, &job.pairs, table);
+            let rates = common::mptcp_rates(net, &job.pairs, table);
             mptcp[i] = crate::report::mean(&rates) / lp_min_avg;
         }
         Cell {

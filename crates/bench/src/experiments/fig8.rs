@@ -10,7 +10,7 @@ use crate::Scale;
 use flat_tree::PodMode;
 use flowsim::provider::{MptcpProvider, PathProvider};
 use flowsim::{RunOpts, SimConfig, Transport};
-use routing::SharedRouteTable;
+use routing::RouteTable;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use topology::{DcNetwork, RandomGraphParams, TwoStageParams};
@@ -106,17 +106,17 @@ pub fn run(scale: Scale) -> Vec<Curve> {
         .iter()
         .flat_map(|t| t.flows.iter().map(|f| (f.src, f.dst)))
         .collect();
-    let tables: Vec<Option<Arc<SharedRouteTable>>> = nets
+    let tables: Vec<Option<Arc<RouteTable>>> = nets
         .iter()
         .map(|(_, net, transport)| match *transport {
-            Transport::Mptcp { k, .. } => Some(common::shared_route_table(net, &union, k)),
+            Transport::Mptcp { k, .. } => Some(common::route_table(net, &union, k)),
             Transport::TcpEcmp => None,
         })
         .collect();
     type Job<'a> = (
         &'a Workload,
         &'a (String, DcNetwork, Transport),
-        &'a Option<Arc<SharedRouteTable>>,
+        &'a Option<Arc<RouteTable>>,
     );
     let jobs: Vec<Job> = traces
         .iter()

@@ -23,7 +23,7 @@ use netgraph::{Graph, LinkId, NodeId};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use routing::SharedRouteTable;
+use routing::{ksp, RouteTable};
 use serde::{Deserialize, Serialize};
 
 /// Failure fractions swept.
@@ -61,23 +61,28 @@ fn cables(g: &Graph) -> Vec<LinkId> {
 }
 
 /// Mean throughput and disconnection rate with a given failed-cable
-/// set. Routes come from the shared precomputed table through a failure
-/// **overlay**: only switch pairs whose cached paths cross a failed
+/// set. Routes come from the shared prebuilt table through `routing`'s
+/// failure rule: only switch pairs whose Yen footprint crosses a failed
 /// link are re-run (masked), the rest splice unchanged — bit-identical
 /// to a from-scratch masked Yen per server pair.
 fn measure(
     g: &Graph,
     pairs: &[(NodeId, NodeId)],
-    table: &SharedRouteTable,
+    table: &RouteTable,
     down: &[LinkId],
 ) -> (f64, f64) {
-    let ov = table.overlay(g, down);
+    let mut mask = vec![false; g.link_count()];
+    for &l in down {
+        mask[l.idx()] = true;
+    }
+    let is_down = |l: LinkId| mask[l.idx()];
+    let mut masked = ksp::MaskedPaths::new();
     let mut conns = Vec::new();
     let mut disconnected = 0usize;
     for &(s, d) in pairs {
-        let paths = table
-            .server_paths_with(g, &ov, s, d)
-            .expect("pair covered by the shared table");
+        let paths = ksp::server_paths_under(g, table.k(), s, d, is_down, &mut masked, |a, b| {
+            table.get(a, b).expect("pair covered by the route table")
+        });
         if paths.is_empty() {
             disconnected += 1;
             continue;
@@ -121,9 +126,9 @@ pub fn run(scale: Scale) -> Vec<Point> {
             .iter()
             .map(|&(s, d)| (net.servers[s], net.servers[d]))
             .collect();
-        // One parallel-precomputed table per network; every (fraction,
-        // trial) cell reads it through its own failure overlay.
-        let table = common::shared_route_table(net, &index_pairs, k);
+        // One parallel-built table per network; every (fraction, trial)
+        // cell reads it under its own failure set.
+        let table = common::route_table(net, &index_pairs, k);
         let all_cables = cables(g);
         // Sweep (fraction, trial) cells on the shared parallel driver.
         let jobs: Vec<(f64, usize)> = FRACTIONS

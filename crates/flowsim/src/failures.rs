@@ -102,8 +102,7 @@ impl FailedLinks {
         links.iter().all(|&l| !self.down[l.idx()])
     }
 
-    /// The failed directed links, ascending by id. Used to hand the
-    /// failure set to route-plane overlays.
+    /// The failed directed links, ascending by id.
     pub fn down_links(&self) -> Vec<LinkId> {
         self.down
             .iter()

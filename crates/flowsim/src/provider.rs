@@ -8,13 +8,18 @@
 //! [`FailedLinks::epoch`]: post-failure arrivals between two failure
 //! events hit the cached failure-aware answer instead of recomputing it.
 //!
+//! [`MptcpProvider`] routes through the one `routing` route table type
+//! ([`RouteTable`]): a prebuilt table shared behind an `Arc`, backed by
+//! the provider's own on-demand table, with `routing`'s single failure
+//! rule and server-path function deciding every answer.
+//!
 //! Providers return paths as [`PathId`]s interned in the simulation's
 //! [`PathArena`], so the hot loop never clones a path.
 
 use crate::failures::FailedLinks;
 use crate::sim::FlowSpec;
-use netgraph::{dijkstra, ecmp, yen, Graph, NodeId, Path, PathArena, PathId};
-use routing::{ksp, RouteTable, SharedRouteTable};
+use netgraph::{dijkstra, ecmp, Graph, NodeId, PathArena, PathId};
+use routing::{ksp, RouteTable};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -118,49 +123,31 @@ impl PathProvider for EcmpProvider {
     }
 }
 
-/// Switch-pair route source backing an [`MptcpProvider`].
-#[derive(Debug)]
-enum Backend {
-    /// A lazily-filled per-provider table (the default).
-    Lazy(RouteTable),
-    /// A precomputed [`SharedRouteTable`] shared across simulations,
-    /// with a lazy fallback for pairs outside the table's domain.
-    Shared {
-        table: Arc<SharedRouteTable>,
-        fallback: RouteTable,
-    },
-}
-
 /// MPTCP over the k-shortest paths.
 ///
 /// Routing always happens at the **switch-pair** level (§4.2.1
-/// Observations 1–2): paths between the ingress and egress switches,
-/// with the two server uplinks spliced on. Failures keep that
-/// granularity — failed links are masked in the switch-pair Yen run,
-/// the surviving uplinks are spliced, and a connection parks only when
-/// its own uplink or downlink is down. A switch pair is re-run masked
-/// only when its cached Yen footprint touches a failed link; otherwise
-/// the cached paths are provably what the masked run would return (see
-/// [`netgraph::yen::k_shortest_paths_with_footprint`]), so a failure
-/// epoch costs a handful of Yen runs instead of one per server pair.
+/// Observations 1–2) through [`ksp::server_paths_under`]: paths between
+/// the ingress and egress switches, with the two server links spliced
+/// on. Failures keep that granularity — a connection parks only when its
+/// own uplink or downlink is down, and a switch pair is re-run masked
+/// only when a failed link touches its Yen footprint (the failure rule,
+/// [`ksp::switch_paths_under`]), so a failure epoch costs a handful of
+/// Yen runs instead of one per server pair.
 ///
-/// Per-epoch results are cached per server pair as interned ids — the
-/// rerouting burst after a failure computes each pair once, and later
-/// arrivals on the pair are lookups.
+/// Switch pairs come from a shared prebuilt [`RouteTable`] when it holds
+/// them and from the provider's own on-demand table otherwise. Per-epoch
+/// results are cached per server pair as interned ids — the rerouting
+/// burst after a failure computes each pair once, and later arrivals on
+/// the pair are lookups.
 #[derive(Debug)]
 pub struct MptcpProvider {
-    k: usize,
     coupled: bool,
-    backend: Backend,
-    /// Masked switch-pair path sets for the current epoch, for pairs
-    /// whose Yen footprint touches a failed link.
-    fail_switch: HashMap<(NodeId, NodeId), Vec<Path>>,
-    /// Slots of shared-table pairs whose footprint touches a failed
-    /// link, computed once per epoch. Affected pairs are then re-run
-    /// lazily (into `fail_switch`) only when actually routed — cheaper
-    /// than an eager [`RouteOverlay`] when a failure epoch touches few
-    /// pairs.
-    affected: Option<Vec<u32>>,
+    /// Prebuilt switch pairs, read-only (empty for [`MptcpProvider::new`]).
+    shared: Arc<RouteTable>,
+    /// Switch pairs outside `shared`, filled on demand.
+    own: RouteTable,
+    /// Masked switch-pair path sets for the current failure epoch.
+    masked: ksp::MaskedPaths,
     cache: HashMap<(NodeId, NodeId), Option<RoutedConn>>,
     epoch: u64,
 }
@@ -168,118 +155,19 @@ pub struct MptcpProvider {
 impl MptcpProvider {
     /// Provider for `k` subflows; `coupled` selects LIA-style weights.
     pub fn new(k: usize, coupled: bool) -> Self {
-        Self::with_backend(k.max(1), coupled, Backend::Lazy(RouteTable::new(k.max(1))))
+        Self::with_shared(Arc::new(RouteTable::new(k.max(1))), coupled)
     }
 
-    /// Provider over a precomputed route plane; `k` comes from the
-    /// table. Pairs outside the table's domain fall back to a private
-    /// lazy table with identical semantics.
-    pub fn with_shared(table: Arc<SharedRouteTable>, coupled: bool) -> Self {
-        let k = table.k();
-        Self::with_backend(
-            k,
-            coupled,
-            Backend::Shared {
-                table,
-                fallback: RouteTable::new(k),
-            },
-        )
-    }
-
-    fn with_backend(k: usize, coupled: bool, backend: Backend) -> Self {
+    /// Provider over a prebuilt route table; `k` comes from the table.
+    pub fn with_shared(table: Arc<RouteTable>, coupled: bool) -> Self {
         Self {
-            k,
             coupled,
-            backend,
-            fail_switch: HashMap::new(),
-            affected: None,
+            own: RouteTable::new(table.k()),
+            shared: table,
+            masked: ksp::MaskedPaths::new(),
             cache: HashMap::new(),
             epoch: 0,
         }
-    }
-
-    fn refresh(&mut self, epoch: u64) {
-        if self.epoch != epoch {
-            self.cache.clear();
-            self.fail_switch.clear();
-            self.affected = None;
-            self.epoch = epoch;
-        }
-    }
-
-    /// The server-level path set under the current failures; empty when
-    /// the pair is parked or disconnected.
-    fn compute_paths(
-        &mut self,
-        g: &Graph,
-        failed: &FailedLinks,
-        src: NodeId,
-        dst: NodeId,
-    ) -> Vec<Path> {
-        if !failed.any() {
-            return match &mut self.backend {
-                Backend::Lazy(rt) => rt.server_paths(g, src, dst),
-                Backend::Shared { table, fallback } => table
-                    .server_paths(g, src, dst)
-                    .unwrap_or_else(|| fallback.server_paths(g, src, dst)),
-            };
-        }
-        let k = self.k;
-        let masked_len = |l| {
-            if failed.is_down(l) {
-                f64::INFINITY
-            } else {
-                1.0
-            }
-        };
-        let (Some(si), Some(di)) = (g.server_uplink_switch(src), g.server_uplink_switch(dst))
-        else {
-            // Unattached endpoint: no switch pair to route over.
-            return yen::k_shortest_paths_by(g, src, dst, k, masked_len);
-        };
-        let up = g.find_link(src, si).expect("src uplink");
-        let down = g.find_link(di, dst).expect("dst downlink");
-        if failed.is_down(up) || failed.is_down(down) {
-            // Park only when the pair's own uplink is dead — every
-            // server-level path must cross both uplinks.
-            return Vec::new();
-        }
-        if si == di {
-            return vec![ksp::rack_path(g, src, si, dst)];
-        }
-        if let Backend::Shared { table, .. } = &self.backend {
-            if let Some(slot) = table.pair_slot(si, di) {
-                let affected = self
-                    .affected
-                    .get_or_insert_with(|| table.affected_slots(&failed.down_links()));
-                if affected.binary_search(&(slot as u32)).is_err() {
-                    // Footprint untouched: the precomputed paths are
-                    // bit-identical to a masked recomputation.
-                    let sp = table.switch_paths(si, di).expect("covered pair");
-                    return ksp::splice_server_pair(g, src, dst, sp);
-                }
-                let sp = self
-                    .fail_switch
-                    .entry((si, di))
-                    .or_insert_with(|| yen::k_shortest_paths_by(g, si, di, k, masked_len));
-                return ksp::splice_server_pair(g, src, dst, sp);
-            }
-        }
-        let rt = match &mut self.backend {
-            Backend::Lazy(rt) => rt,
-            Backend::Shared { fallback, .. } => fallback,
-        };
-        let (base, footprint) = rt.switch_paths_with_footprint(g, si, di);
-        if failed.path_alive(footprint) {
-            // No failed link anywhere in the pair's Yen footprint: the
-            // cached paths are bit-identical to a masked recomputation.
-            return ksp::splice_server_pair(g, src, dst, base);
-        }
-        let sp = self
-            .fail_switch
-            .entry((si, di))
-            .or_insert_with(|| yen::k_shortest_paths_by(g, si, di, k, masked_len));
-        ksp::splice_server_pair(g, src, dst, sp)
     }
 }
 
@@ -291,12 +179,29 @@ impl PathProvider for MptcpProvider {
         failed: &FailedLinks,
         spec: &FlowSpec,
     ) -> Option<RoutedConn> {
-        self.refresh(failed.epoch());
+        if self.epoch != failed.epoch() {
+            self.cache.clear();
+            self.masked.clear();
+            self.epoch = failed.epoch();
+        }
         let key = (spec.src, spec.dst);
         if let Some(cached) = self.cache.get(&key) {
             return cached.clone();
         }
-        let paths = self.compute_paths(g, failed, spec.src, spec.dst);
+        let Self {
+            shared,
+            own,
+            masked,
+            ..
+        } = self;
+        let is_down = |l| failed.is_down(l);
+        let paths =
+            ksp::server_paths_under(g, own.k(), spec.src, spec.dst, is_down, masked, |a, b| {
+                match shared.get(a, b) {
+                    Some(routes) => routes,
+                    None => own.get_or_compute(g, a, b),
+                }
+            });
         let routed = if paths.is_empty() {
             None
         } else {
@@ -412,7 +317,7 @@ mod tests {
     #[test]
     fn mptcp_shared_table_matches_lazy_provider() {
         let (g, s, t, via_x) = diamond();
-        let table = Arc::new(SharedRouteTable::build(&g, 2));
+        let table = Arc::new(RouteTable::build(&g, 2));
         let mut failed = FailedLinks::new(g.link_count());
         let mut arena_a = PathArena::new();
         let mut arena_b = PathArena::new();

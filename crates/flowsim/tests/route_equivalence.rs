@@ -3,16 +3,16 @@
 //! and egress switches, splice surviving uplinks, park on a dead
 //! uplink) must yield exactly the path sets of the **server-level
 //! oracle** — a from-scratch masked Yen run per server pair — on mini
-//! topologies, for both the lazy and the shared-table backends.
+//! topologies, for both the on-demand and the shared-table providers.
 
 use flowsim::provider::{MptcpProvider, PathProvider};
 use flowsim::sim::FlowSpec;
-use flowsim::FailedLinks;
+use flowsim::{FailedLinks, RunOpts, SimConfig, Transport};
 use netgraph::{yen, Graph, LinkId, NodeId, Path, PathArena};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use routing::SharedRouteTable;
+use routing::RouteTable;
 use std::sync::Arc;
 use topology::ClosParams;
 
@@ -68,7 +68,7 @@ fn provider_matches_server_level_oracle_under_random_failures() {
     let servers = g.servers();
     let all_cables = cables(g);
     for k in [4usize, 8] {
-        let table = Arc::new(SharedRouteTable::build(g, k));
+        let table = Arc::new(RouteTable::build(g, k));
         let mut rng = ChaCha8Rng::seed_from_u64(0x5eed ^ k as u64);
         for trial in 0..6usize {
             let mut failed = FailedLinks::new(g.link_count());
@@ -140,7 +140,7 @@ fn dead_uplink_parks_exactly_like_the_oracle() {
     let mut failed = FailedLinks::new(g.link_count());
     failed.fail(up);
     let k = 4;
-    let table = Arc::new(SharedRouteTable::build(g, k));
+    let table = Arc::new(RouteTable::build(g, k));
     let mut arena = PathArena::new();
     for provider in [
         &mut MptcpProvider::new(k, true),
@@ -160,4 +160,44 @@ fn dead_uplink_parks_exactly_like_the_oracle() {
             want
         );
     }
+}
+
+/// A flow whose source is a switch, not a server, has no ingress switch
+/// pair: both providers route it with a Yen run between the endpoints,
+/// with and without a failed link, and the engine completes it.
+#[test]
+fn unattached_endpoint_routes_between_the_endpoints() {
+    let clos = ClosParams::mini().build();
+    let g = &clos.net.graph;
+    let servers = g.servers();
+    let (src, dst) = (g.server_uplink_switch(servers[0]).unwrap(), servers[5]);
+    let k = 8;
+    let table = Arc::new(RouteTable::build(g, k));
+    let mut failed = FailedLinks::new(g.link_count());
+    for cut in [false, true] {
+        if cut {
+            let want = oracle(g, src, dst, &failed, k);
+            failed.fail(want[0].links[0]);
+        }
+        let want = oracle(g, src, dst, &failed, k);
+        assert!(!want.is_empty());
+        for mut provider in [
+            MptcpProvider::new(k, true),
+            MptcpProvider::with_shared(table.clone(), true),
+        ] {
+            let mut arena = PathArena::new();
+            let sp = spec(0, src, dst);
+            assert_eq!(
+                routed_paths(&mut provider, g, &mut arena, &failed, &sp),
+                want,
+                "cut = {cut}"
+            );
+        }
+    }
+    let cfg = SimConfig {
+        transport: Transport::mptcp8(),
+        ..SimConfig::default()
+    };
+    let out = flowsim::run(g, &[spec(0, src, dst)], &cfg, RunOpts::default()).unwrap();
+    assert!(out.result.records[0].finish.is_some());
 }

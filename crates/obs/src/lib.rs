@@ -23,7 +23,9 @@
 //!   experiment bins (`--metrics out.jsonl`) and `perfsnap`.
 //!
 //! No layer below `ft-bench` ever *requires* a sink: tracing is opt-in
-//! per call site via the `*_traced` entry points.
+//! per call site. `flowsim::run` takes its sink through
+//! `flowsim::RunOpts::sink` (the no-op sink by default); the control
+//! and dispatch planes keep `*_traced` entry points.
 
 pub mod event;
 pub mod metrics;

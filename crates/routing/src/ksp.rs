@@ -1,4 +1,5 @@
-//! k-shortest-path route tables with switch-level caching.
+//! The k-shortest-path route table, its failure rule and the one
+//! server-path function.
 //!
 //! §4.2.1, Observation 1: a server has exactly one ingress/egress switch,
 //! so there is no path diversion between a server and its switch.
@@ -7,31 +8,157 @@
 //! table stores **switch-pair** paths once and splices server uplinks on
 //! demand — the same aggregation that reduces network state by the
 //! paper's 400–1600×.
+//!
+//! A [`RouteTable`] is either built in parallel for a pair set (see
+//! [`crate::plane`]) and shared read-only behind an `Arc`, or starts
+//! empty and fills on demand. Each pair keeps the link **footprint** of
+//! its Yen run, which decides reuse under failures
+//! ([`switch_paths_under`]).
 
 use netgraph::{yen, Graph, LinkId, NodeId, Path};
 use std::collections::HashMap;
 
-/// The single 2-hop path between two servers on the same ingress switch.
-///
-/// Panics when either server is not attached to `si` — callers resolve
-/// the switch via [`Graph::server_uplink_switch`] first.
-pub fn rack_path(g: &Graph, src: NodeId, si: NodeId, dst: NodeId) -> Path {
-    Path::from_nodes(g, &[src, si, dst]).expect("rack path")
+/// One switch pair's routes: the k shortest paths plus the Yen run's
+/// link footprint (every link any examined path used). The footprint is
+/// the reuse certificate: while none of its links is down, the paths are
+/// bit-identical to a masked recomputation (see
+/// [`netgraph::yen::k_shortest_paths_with_footprint`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct PairRoutes {
+    paths: Vec<Path>,
+    footprint: Box<[LinkId]>,
 }
 
-/// Splices the `src` uplink and `dst` downlink onto a switch-pair path
-/// set: the §4.2.1 Observation 1 step turning ingress/egress switch
-/// paths into server-level paths. The switch paths must run from
-/// `src`'s ingress switch to `dst`'s (distinct) ingress switch.
-pub fn splice_server_pair(g: &Graph, src: NodeId, dst: NodeId, switch_paths: &[Path]) -> Vec<Path> {
-    if switch_paths.is_empty() {
+impl PairRoutes {
+    pub(crate) fn compute(g: &Graph, a: NodeId, b: NodeId, k: usize) -> Self {
+        let (paths, footprint) = yen::k_shortest_paths_with_footprint(g, a, b, k);
+        // Deduplication leaves the footprint's capacity at the size of
+        // every examined path; a table keeps one per pair.
+        Self {
+            paths,
+            footprint: footprint.into_boxed_slice(),
+        }
+    }
+
+    /// The selected paths with every link up, shortest first.
+    pub fn paths(&self) -> &[Path] {
+        &self.paths
+    }
+}
+
+/// Masked switch-pair path sets for one failure epoch. The caller owns
+/// it and clears it whenever the failed-link set changes.
+pub type MaskedPaths = HashMap<(NodeId, NodeId), Vec<Path>>;
+
+/// A switch-pair k-shortest-path table over one network instance.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RouteTable {
+    pub(crate) k: usize,
+    pub(crate) pairs: HashMap<(NodeId, NodeId), PairRoutes>,
+}
+
+impl RouteTable {
+    /// Creates an empty table for `k` concurrent paths.
+    pub fn new(k: usize) -> Self {
+        assert!(k >= 1, "k-shortest-path routing needs k >= 1");
+        Self {
+            k,
+            pairs: HashMap::new(),
+        }
+    }
+
+    /// Number of concurrent paths (k in k-shortest-path routing).
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Number of switch pairs held.
+    pub fn pair_count(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// The routes of an ordered switch pair, if the table holds it.
+    pub fn get(&self, a: NodeId, b: NodeId) -> Option<&PairRoutes> {
+        self.pairs.get(&(a, b))
+    }
+
+    /// The routes of an ordered switch pair, computed on first use.
+    pub fn get_or_compute(&mut self, g: &Graph, a: NodeId, b: NodeId) -> &PairRoutes {
+        let k = self.k;
+        self.pairs
+            .entry((a, b))
+            .or_insert_with(|| PairRoutes::compute(g, a, b, k))
+    }
+
+    /// The server-level paths with every link up, filling the table on
+    /// demand: [`server_paths_under`] with nothing down.
+    pub fn server_paths(&mut self, g: &Graph, src: NodeId, dst: NodeId) -> Vec<Path> {
+        server_paths_under(
+            g,
+            self.k,
+            src,
+            dst,
+            |_| false,
+            &mut MaskedPaths::new(),
+            |a, b| self.get_or_compute(g, a, b),
+        )
+    }
+}
+
+/// The failure rule: a switch pair's paths under the failed-link
+/// predicate `is_down`. The cached paths are reused when no footprint
+/// link is down; otherwise the pair gets a masked Yen run, cached in
+/// `masked` for the rest of the failure epoch.
+pub fn switch_paths_under<'a>(
+    g: &Graph,
+    k: usize,
+    (a, b): (NodeId, NodeId),
+    routes: &'a PairRoutes,
+    is_down: impl Fn(LinkId) -> bool,
+    masked: &'a mut MaskedPaths,
+) -> &'a [Path] {
+    if !routes.footprint.iter().any(|&l| is_down(l)) {
+        return &routes.paths;
+    }
+    masked
+        .entry((a, b))
+        .or_insert_with(|| yen::k_shortest_paths_by(g, a, b, k, masked_length(&is_down)))
+}
+
+/// The server-level paths for `(src, dst)` under the failed-link
+/// predicate `is_down`; `pair` looks up a switch pair's routes.
+///
+/// * A dead own uplink or downlink parks the flow: no paths.
+/// * Endpoints on the same ingress switch get the single 2-hop path.
+/// * An endpoint not attached to a switch gets a masked Yen run between
+///   the endpoints themselves.
+/// * Every other pair gets the [`switch_paths_under`] paths of its
+///   ingress/egress switches with the two server links spliced on.
+///
+/// Returns an empty vector when the pair is parked or disconnected.
+pub fn server_paths_under<'t>(
+    g: &Graph,
+    k: usize,
+    src: NodeId,
+    dst: NodeId,
+    is_down: impl Fn(LinkId) -> bool,
+    masked: &mut MaskedPaths,
+    pair: impl FnOnce(NodeId, NodeId) -> &'t PairRoutes,
+) -> Vec<Path> {
+    assert_ne!(src, dst, "no self-flows");
+    let (Some(si), Some(di)) = (g.server_uplink_switch(src), g.server_uplink_switch(dst)) else {
+        return yen::k_shortest_paths_by(g, src, dst, k, masked_length(&is_down));
+    };
+    let up = g.find_link(src, si).expect("src uplink");
+    let down = g.find_link(di, dst).expect("dst downlink");
+    if is_down(up) || is_down(down) {
+        // Every server-level path crosses both of the pair's own links.
         return Vec::new();
     }
-    let up = g.find_link(src, switch_paths[0].src()).expect("src uplink");
-    let down = g
-        .find_link(switch_paths[0].dst(), dst)
-        .expect("dst downlink");
-    let paths: Vec<Path> = switch_paths
+    if si == di {
+        return vec![Path::from_nodes(g, &[src, si, dst]).expect("rack path")];
+    }
+    switch_paths_under(g, k, (si, di), pair(si, di), is_down, masked)
         .iter()
         .map(|sp| {
             let mut nodes = Vec::with_capacity(sp.nodes.len() + 2);
@@ -42,95 +169,21 @@ pub fn splice_server_pair(g: &Graph, src: NodeId, dst: NodeId, switch_paths: &[P
             links.push(up);
             links.extend_from_slice(&sp.links);
             links.push(down);
-            Path { nodes, links }
+            let p = Path { nodes, links };
+            #[cfg(feature = "strict-invariants")]
+            debug_assert!(
+                p.validate(g).is_ok(),
+                "spliced server path is invalid: {:?}",
+                p.validate(g)
+            );
+            p
         })
-        .collect();
-    #[cfg(feature = "strict-invariants")]
-    for p in &paths {
-        debug_assert!(
-            p.validate(g).is_ok(),
-            "spliced server path is invalid: {:?}",
-            p.validate(g)
-        );
-    }
-    paths
+        .collect()
 }
 
-/// One cached switch pair: the selected paths plus the Yen run's link
-/// footprint (every link any examined path used), the exact certificate
-/// for reusing the entry after link failures.
-#[derive(Debug, Clone)]
-struct PairEntry {
-    paths: Vec<Path>,
-    footprint: Vec<LinkId>,
-}
-
-/// A lazy k-shortest-path routing table over one network instance.
-#[derive(Debug, Clone)]
-pub struct RouteTable {
-    /// Number of concurrent paths (k in k-shortest-path routing).
-    pub k: usize,
-    cache: HashMap<(NodeId, NodeId), PairEntry>,
-}
-
-impl RouteTable {
-    /// Creates an empty table for `k` concurrent paths.
-    pub fn new(k: usize) -> Self {
-        assert!(k >= 1, "k-shortest-path routing needs k >= 1");
-        Self {
-            k,
-            cache: HashMap::new(),
-        }
-    }
-
-    fn entry(&mut self, g: &Graph, a: NodeId, b: NodeId) -> &PairEntry {
-        self.cache.entry((a, b)).or_insert_with(|| {
-            let (paths, footprint) = yen::k_shortest_paths_with_footprint(g, a, b, self.k);
-            PairEntry { paths, footprint }
-        })
-    }
-
-    /// The switch-level paths between two switches, computed on first use.
-    pub fn switch_paths(&mut self, g: &Graph, a: NodeId, b: NodeId) -> &[Path] {
-        &self.entry(g, a, b).paths
-    }
-
-    /// The switch-level paths plus the pair's Yen link footprint: if no
-    /// footprint link is failed, the paths are bit-identical to what a
-    /// failure-aware recomputation would return.
-    pub fn switch_paths_with_footprint(
-        &mut self,
-        g: &Graph,
-        a: NodeId,
-        b: NodeId,
-    ) -> (&[Path], &[LinkId]) {
-        let e = self.entry(g, a, b);
-        (&e.paths, &e.footprint)
-    }
-
-    /// The server-level paths for a (src, dst) server pair: the cached
-    /// switch-pair paths with the two server uplinks spliced on.
-    ///
-    /// Intra-rack pairs (same ingress switch) get the single 2-hop path.
-    /// Returns an empty vector only if the pair is disconnected.
-    pub fn server_paths(&mut self, g: &Graph, src: NodeId, dst: NodeId) -> Vec<Path> {
-        assert_ne!(src, dst, "no self-flows");
-        let si = g
-            .server_uplink_switch(src)
-            .expect("src must be an attached server");
-        let di = g
-            .server_uplink_switch(dst)
-            .expect("dst must be an attached server");
-        if si == di {
-            return vec![rack_path(g, src, si, dst)];
-        }
-        splice_server_pair(g, src, dst, self.switch_paths(g, si, di))
-    }
-
-    /// Number of cached switch pairs (diagnostics).
-    pub fn cached_pairs(&self) -> usize {
-        self.cache.len()
-    }
+/// Hop count with the failed links at infinite length.
+fn masked_length(is_down: &impl Fn(LinkId) -> bool) -> impl Fn(LinkId) -> f64 + '_ {
+    move |l| if is_down(l) { f64::INFINITY } else { 1.0 }
 }
 
 #[cfg(test)]
@@ -183,9 +236,9 @@ mod tests {
         let mut rt = RouteTable::new(4);
         // Two pairs under the same two edges hit the same cache entry.
         let _ = rt.server_paths(g, clos.edge_servers[0][2], clos.edge_servers[1][2]);
-        let n1 = rt.cached_pairs();
+        let n1 = rt.pair_count();
         let _ = rt.server_paths(g, clos.edge_servers[0][3], clos.edge_servers[1][3]);
-        assert_eq!(rt.cached_pairs(), n1, "same switch pair must not recompute");
+        assert_eq!(rt.pair_count(), n1, "same switch pair must not recompute");
     }
 
     #[test]

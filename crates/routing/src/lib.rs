@@ -1,13 +1,15 @@
 //! Routing and control-state machinery for flat-tree networks (§4).
 //!
-//! * [`ksp`] — k-shortest-path route tables. Per §4.2.1's Observations 1
-//!   and 2, paths are computed and cached at the **ingress/egress switch**
-//!   level and spliced with the single server uplinks, which is both the
-//!   paper's state-reduction trick and a large computational win.
-//! * [`plane`] — the shared route plane: an immutable, fully-precomputed
-//!   switch-pair table built in parallel (deterministically), with an
-//!   exact failure overlay that recomputes only the pairs a failed link
-//!   can affect.
+//! * [`ksp`] — the k-shortest-path [`RouteTable`]. Per §4.2.1's
+//!   Observations 1 and 2, paths are computed and cached at the
+//!   **ingress/egress switch** level and spliced with the single server
+//!   uplinks, which is both the paper's state-reduction trick and a large
+//!   computational win. One failure rule reuses a pair's paths unless a
+//!   failed link touches its Yen footprint, and one server-path function
+//!   serves every caller.
+//! * [`plane`] — the shared route plane: building a [`RouteTable`] for a
+//!   whole pair set up front, in parallel (deterministically), to share
+//!   read-only across simulations.
 //! * [`addressing`] — the flat-tree IPv4 address layout of Figure 5:
 //!   `10/8 | 13-bit switch id | 3-bit path id | 2-bit topology mode |
 //!   6-bit server id`, with per-mode address sets preconfigured on every
@@ -34,8 +36,12 @@ pub mod source_routing;
 pub mod two_level;
 
 pub use addressing::{AddressPlan, FlatTreeAddress, TopologyModeId};
-pub use ksp::RouteTable;
-pub use plane::{RouteOverlay, SharedRouteTable};
+pub use ksp::{PairRoutes, RouteTable};
 pub use rules::{Rule, RuleMatch, RuleSet, StateAnalysis};
 pub use segment::{LabelStack, Pce};
 pub use two_level::TwoLevelRouting;
+
+/// The name the benchmark package (`perfbench/`) compiles against for a
+/// prebuilt [`RouteTable`]. Kept only for it; drop the alias at the next
+/// change to the benchmark.
+pub type SharedRouteTable = RouteTable;

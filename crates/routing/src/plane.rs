@@ -1,66 +1,21 @@
-//! The shared route plane: a fully-precomputed, immutable switch-pair
-//! k-shortest-path table with an exact failure overlay.
+//! The shared route plane: building a [`RouteTable`] for a whole pair
+//! set up front, in parallel.
 //!
-//! [`crate::RouteTable`] fills its switch-pair cache lazily and is owned
-//! by one simulation. Experiment sweeps run many simulations over the
-//! same `(topology, mode, k)` though, each re-deriving the identical
-//! table. [`SharedRouteTable`] precomputes every ingress-pair path set
-//! once — in parallel, with output independent of the worker count — and
-//! is then shared immutably (typically behind an `Arc`) across cells,
-//! threads, and verifier passes.
-//!
-//! Failures reuse the table instead of discarding it: each pair records
-//! the link **footprint** of its Yen run (selected *and* candidate
-//! paths), and [`SharedRouteTable::overlay`] recomputes only the pairs
-//! whose footprint touches a failed link. For every other pair the
-//! precomputed paths are provably bit-identical to what a failure-aware
-//! recomputation would return (see
-//! [`netgraph::yen::k_shortest_paths_with_footprint`]), so the overlay
-//! equals a from-scratch rebuild at a small fraction of the cost.
+//! An on-demand table is owned by one simulation. Experiment sweeps run
+//! many simulations over the same `(topology, mode, k)` though, each
+//! re-deriving the identical pairs. [`RouteTable::build_for_pairs`]
+//! computes every pair once — in parallel, with output independent of
+//! the worker count — and the table is then shared read-only (behind an
+//! `Arc`) across cells, threads and verifier passes. Failures never
+//! mutate it: callers apply [`crate::ksp::switch_paths_under`] per
+//! failure epoch.
 
-use crate::ksp::{rack_path, splice_server_pair};
-use netgraph::{yen, Graph, LinkId, NodeId, Path};
-use std::collections::HashMap;
+use crate::ksp::{PairRoutes, RouteTable};
+use netgraph::{Graph, NodeId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// An immutable, fully-precomputed switch-pair k-shortest-path table.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SharedRouteTable {
-    k: usize,
-    pairs: Vec<(NodeId, NodeId)>,
-    paths: Vec<Vec<Path>>,
-    pair_index: HashMap<(NodeId, NodeId), usize>,
-    /// `LinkId::idx()` → slots of pairs whose Yen footprint uses the
-    /// link; ascending, deduped. Drives the overlay's recompute set.
-    link_pairs: Vec<Vec<u32>>,
-}
-
-/// Failure view over a [`SharedRouteTable`]: the failed-link mask plus
-/// recomputed path sets for exactly the pairs the failures can affect.
-///
-/// Callers key an overlay on their failure epoch and rebuild it when the
-/// failure set changes; the table itself never mutates.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RouteOverlay {
-    down: Vec<bool>,
-    recomputed: HashMap<usize, Vec<Path>>,
-}
-
-impl RouteOverlay {
-    /// Whether a directed link is failed in this overlay.
-    #[inline]
-    pub fn is_down(&self, l: LinkId) -> bool {
-        self.down[l.idx()]
-    }
-
-    /// How many pairs the failure set forced to recompute (diagnostics).
-    pub fn recomputed_pairs(&self) -> usize {
-        self.recomputed.len()
-    }
-}
-
-impl SharedRouteTable {
+impl RouteTable {
     /// Every ordered pair of ingress switches (switches with at least
     /// one attached server), ascending — the full route-plane domain.
     pub fn ingress_pairs(g: &Graph) -> Vec<(NodeId, NodeId)> {
@@ -82,193 +37,35 @@ impl SharedRouteTable {
         pairs
     }
 
-    /// Precomputes the full ingress-pair table with one worker per CPU.
+    /// Builds the full ingress-pair table with one worker per CPU.
     pub fn build(g: &Graph, k: usize) -> Self {
-        Self::build_with_threads(g, k, default_threads())
+        Self::build_for_pairs(g, k, &Self::ingress_pairs(g))
     }
 
-    /// [`SharedRouteTable::build`] with an explicit worker count. The
-    /// result is identical for every worker count.
-    pub fn build_with_threads(g: &Graph, k: usize, threads: usize) -> Self {
-        Self::build_for_pairs_with_threads(g, k, &Self::ingress_pairs(g), threads)
-    }
-
-    /// Precomputes a table restricted to the given switch pairs (deduped,
-    /// self-pairs dropped), one worker per CPU. Use when the traffic only
-    /// touches a known pair subset.
+    /// Builds a table restricted to the given switch pairs (self-pairs
+    /// dropped), one worker per CPU. Use when the traffic only touches a
+    /// known pair subset.
     pub fn build_for_pairs(g: &Graph, k: usize, pairs: &[(NodeId, NodeId)]) -> Self {
         Self::build_for_pairs_with_threads(g, k, pairs, default_threads())
     }
 
-    /// [`SharedRouteTable::build_for_pairs`] with an explicit worker
-    /// count. The result depends only on `(g, k, pairs)` — never on
-    /// `threads` or scheduling.
+    /// [`RouteTable::build_for_pairs`] with an explicit worker count.
+    /// The result depends only on `(g, k, pairs)` — never on `threads`
+    /// or scheduling.
     pub fn build_for_pairs_with_threads(
         g: &Graph,
         k: usize,
         pairs: &[(NodeId, NodeId)],
         threads: usize,
     ) -> Self {
-        assert!(k >= 1, "k-shortest-path routing needs k >= 1");
+        let mut table = Self::new(k);
         let mut pairs: Vec<(NodeId, NodeId)> =
             pairs.iter().copied().filter(|&(a, b)| a != b).collect();
         pairs.sort_unstable();
         pairs.dedup();
-        let computed = par_map(&pairs, threads, |&(a, b)| {
-            yen::k_shortest_paths_with_footprint(g, a, b, k)
-        });
-        let mut paths = Vec::with_capacity(pairs.len());
-        let mut link_pairs: Vec<Vec<u32>> = vec![Vec::new(); g.link_count()];
-        for (slot, (ps, footprint)) in computed.into_iter().enumerate() {
-            for l in footprint {
-                link_pairs[l.idx()].push(slot as u32);
-            }
-            paths.push(ps);
-        }
-        let pair_index = pairs.iter().enumerate().map(|(i, &p)| (p, i)).collect();
-        Self {
-            k,
-            pairs,
-            paths,
-            pair_index,
-            link_pairs,
-        }
-    }
-
-    /// Number of concurrent paths (k in k-shortest-path routing).
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Number of precomputed switch pairs.
-    pub fn pair_count(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// Whether the table covers this ordered switch pair.
-    pub fn contains_pair(&self, a: NodeId, b: NodeId) -> bool {
-        self.pair_index.contains_key(&(a, b))
-    }
-
-    /// The precomputed paths for a covered switch pair; `None` when the
-    /// pair is outside the table's domain.
-    pub fn switch_paths(&self, a: NodeId, b: NodeId) -> Option<&[Path]> {
-        self.pair_index
-            .get(&(a, b))
-            .map(|&i| self.paths[i].as_slice())
-    }
-
-    /// The table slot of a covered ordered pair (`None` outside the
-    /// domain). Slots are stable and index into [`Self::affected_slots`].
-    pub fn pair_slot(&self, a: NodeId, b: NodeId) -> Option<usize> {
-        self.pair_index.get(&(a, b)).copied()
-    }
-
-    /// The slots of every pair whose Yen footprint touches a failed
-    /// link — exactly the pairs the failure set can change (ascending,
-    /// deduped). For every other pair the precomputed paths are provably
-    /// identical to a failure-aware recomputation. Callers that route
-    /// only a few pairs per failure epoch can recompute affected pairs
-    /// lazily with this set instead of paying for a full
-    /// [`Self::overlay`].
-    pub fn affected_slots(&self, down: &[LinkId]) -> Vec<u32> {
-        let mut affected: Vec<u32> = down
-            .iter()
-            .flat_map(|&l| self.link_pairs[l.idx()].iter().copied())
-            .collect();
-        affected.sort_unstable();
-        affected.dedup();
-        affected
-    }
-
-    /// Server-level paths with every link up: the covered switch-pair
-    /// paths spliced with the server uplinks (intra-rack pairs get the
-    /// single 2-hop path). `None` when an endpoint is unattached or the
-    /// pair's switches are outside the table; `Some(vec![])` only when
-    /// the pair is disconnected.
-    pub fn server_paths(&self, g: &Graph, src: NodeId, dst: NodeId) -> Option<Vec<Path>> {
-        assert_ne!(src, dst, "no self-flows");
-        let si = g.server_uplink_switch(src)?;
-        let di = g.server_uplink_switch(dst)?;
-        if si == di {
-            return Some(vec![rack_path(g, src, si, dst)]);
-        }
-        let sp = self.switch_paths(si, di)?;
-        Some(splice_server_pair(g, src, dst, sp))
-    }
-
-    /// Builds the failure overlay for a failed directed-link set:
-    /// recomputes (with the failed links masked) exactly the pairs whose
-    /// Yen footprint touches a failed link, and reuses the precomputed
-    /// paths — provably unchanged — for every other pair.
-    pub fn overlay(&self, g: &Graph, down: &[LinkId]) -> RouteOverlay {
-        let mut mask = vec![false; g.link_count()];
-        for &l in down {
-            mask[l.idx()] = true;
-        }
-        let recomputed = self
-            .affected_slots(down)
-            .into_iter()
-            .map(|slot| {
-                let (a, b) = self.pairs[slot as usize];
-                let ps = yen::k_shortest_paths_by(g, a, b, self.k, |l| {
-                    if mask[l.idx()] {
-                        f64::INFINITY
-                    } else {
-                        1.0
-                    }
-                });
-                (slot as usize, ps)
-            })
-            .collect();
-        RouteOverlay {
-            down: mask,
-            recomputed,
-        }
-    }
-
-    /// The switch-pair paths under an overlay: the recomputed set for
-    /// affected pairs, the precomputed set otherwise. `None` when the
-    /// pair is outside the table's domain.
-    pub fn switch_paths_with<'a>(
-        &'a self,
-        ov: &'a RouteOverlay,
-        a: NodeId,
-        b: NodeId,
-    ) -> Option<&'a [Path]> {
-        let &i = self.pair_index.get(&(a, b))?;
-        Some(
-            ov.recomputed
-                .get(&i)
-                .map_or(self.paths[i].as_slice(), Vec::as_slice),
-        )
-    }
-
-    /// Server-level paths under an overlay. Splices the surviving
-    /// switch-pair paths; a pair whose own uplink or downlink is failed
-    /// gets `Some(vec![])` — parked, exactly as a server-level masked
-    /// search would find no route. `None` when an endpoint is unattached
-    /// or the pair's switches are outside the table.
-    pub fn server_paths_with(
-        &self,
-        g: &Graph,
-        ov: &RouteOverlay,
-        src: NodeId,
-        dst: NodeId,
-    ) -> Option<Vec<Path>> {
-        assert_ne!(src, dst, "no self-flows");
-        let si = g.server_uplink_switch(src)?;
-        let di = g.server_uplink_switch(dst)?;
-        let up = g.find_link(src, si)?;
-        let down = g.find_link(di, dst)?;
-        if ov.is_down(up) || ov.is_down(down) {
-            return Some(Vec::new());
-        }
-        if si == di {
-            return Some(vec![rack_path(g, src, si, dst)]);
-        }
-        let sp = self.switch_paths_with(ov, si, di)?;
-        Some(splice_server_pair(g, src, dst, sp))
+        let computed = par_map(&pairs, threads, |&(a, b)| PairRoutes::compute(g, a, b, k));
+        table.pairs.extend(pairs.into_iter().zip(computed));
+        table
     }
 }
 
@@ -326,7 +123,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ksp::{server_paths_under, switch_paths_under, MaskedPaths};
     use flat_tree::{FlatTree, FlatTreeParams, ModeAssignment, PodMode};
+    use netgraph::yen;
     use topology::ClosParams;
 
     fn mini_global() -> Graph {
@@ -339,32 +138,32 @@ mod tests {
     #[test]
     fn matches_lazy_route_table() {
         let g = mini_global();
-        let table = SharedRouteTable::build(&g, 4);
-        let mut rt = crate::RouteTable::new(4);
+        let table = RouteTable::build(&g, 4);
         assert!(table.pair_count() > 0);
-        let servers = g.servers();
-        for (a, b) in [(0usize, 17), (3, 40), (12, 5)] {
-            let want = rt.server_paths(&g, servers[a], servers[b]);
-            let got = table.server_paths(&g, servers[a], servers[b]).unwrap();
-            assert_eq!(got, want);
+        let mut rt = RouteTable::new(4);
+        for (a, b) in RouteTable::ingress_pairs(&g) {
+            rt.get_or_compute(&g, a, b);
         }
+        assert_eq!(rt, table);
     }
 
     #[test]
     fn worker_count_does_not_change_output() {
         let g = mini_global();
-        let one = SharedRouteTable::build_with_threads(&g, 4, 1);
+        let pairs = RouteTable::ingress_pairs(&g);
+        let one = RouteTable::build_for_pairs_with_threads(&g, 4, &pairs, 1);
         for threads in [2, 3, 8] {
-            assert_eq!(SharedRouteTable::build_with_threads(&g, 4, threads), one);
+            assert_eq!(
+                RouteTable::build_for_pairs_with_threads(&g, 4, &pairs, threads),
+                one
+            );
         }
     }
 
     #[test]
     fn overlay_recomputes_only_affected_pairs() {
         let g = mini_global();
-        let table = SharedRouteTable::build(&g, 4);
-        let no_failures = table.overlay(&g, &[]);
-        assert_eq!(no_failures.recomputed_pairs(), 0);
+        let table = RouteTable::build(&g, 4);
         let cable = g
             .link_ids()
             .find(|&l| {
@@ -372,12 +171,12 @@ mod tests {
                 g.node(info.src).kind.is_switch() && g.node(info.dst).kind.is_switch()
             })
             .unwrap();
-        let ov = table.overlay(&g, &[cable]);
-        assert!(ov.recomputed_pairs() > 0);
-        assert!(ov.recomputed_pairs() < table.pair_count());
-        assert!(ov.is_down(cable));
-        // Every pair's overlay answer equals a from-scratch masked run.
-        for &(a, b) in &table.pairs {
+        let is_down = |l| l == cable;
+        let mut masked = MaskedPaths::new();
+        for (a, b) in RouteTable::ingress_pairs(&g) {
+            let routes = table.get(a, b).unwrap();
+            let got = switch_paths_under(&g, 4, (a, b), routes, is_down, &mut masked);
+            // Every pair's answer equals a from-scratch masked run.
             let want =
                 yen::k_shortest_paths_by(
                     &g,
@@ -385,46 +184,54 @@ mod tests {
                     b,
                     4,
                     |l| {
-                        if l == cable {
+                        if is_down(l) {
                             f64::INFINITY
                         } else {
                             1.0
                         }
                     },
                 );
-            assert_eq!(table.switch_paths_with(&ov, a, b).unwrap(), &want[..]);
+            assert_eq!(got, &want[..]);
         }
+        assert!(!masked.is_empty());
+        assert!(masked.len() < table.pair_count());
     }
 
     #[test]
     fn restricted_table_covers_only_requested_pairs() {
         let g = mini_global();
-        let all = SharedRouteTable::ingress_pairs(&g);
+        let all = RouteTable::ingress_pairs(&g);
         let subset = &all[..4];
-        let table = SharedRouteTable::build_for_pairs(&g, 4, subset);
+        let table = RouteTable::build_for_pairs(&g, 4, subset);
         assert_eq!(table.pair_count(), 4);
         for &(a, b) in subset {
-            assert!(table.contains_pair(a, b));
+            assert!(table.get(a, b).is_some());
         }
         let &(a, b) = all.last().unwrap();
-        assert!(!table.contains_pair(a, b));
-        assert!(table.switch_paths(a, b).is_none());
+        assert!(table.get(a, b).is_none());
     }
 
     #[test]
     fn parked_when_uplink_is_down() {
         let g = mini_global();
-        let table = SharedRouteTable::build(&g, 4);
+        let table = RouteTable::build(&g, 4);
         let servers = g.servers();
         let (src, dst) = (servers[0], servers[40]);
         let si = g.server_uplink_switch(src).unwrap();
         let up = g.find_link(src, si).unwrap();
-        let ov = table.overlay(&g, &[up]);
-        assert_eq!(table.server_paths_with(&g, &ov, src, dst).unwrap(), vec![]);
+        let route = |s, d| {
+            server_paths_under(
+                &g,
+                4,
+                s,
+                d,
+                |l| l == up,
+                &mut MaskedPaths::new(),
+                |a, b| table.get(a, b).unwrap(),
+            )
+        };
+        assert_eq!(route(src, dst), vec![]);
         // The reverse pair still routes: only src's uplink is down.
-        assert!(!table
-            .server_paths_with(&g, &ov, dst, src)
-            .unwrap()
-            .is_empty());
+        assert!(!route(dst, src).is_empty());
     }
 }

@@ -177,7 +177,7 @@ pub fn compile_ip_rules(g: &Graph, k: usize, mode: TopologyModeId) -> RuleSet {
             if a == b {
                 continue;
             }
-            let paths = rt.switch_paths(g, a, b).to_vec();
+            let paths = rt.get_or_compute(g, a, b).paths().to_vec();
             #[cfg(feature = "strict-invariants")]
             debug_assert!(
                 !paths.is_empty(),
@@ -249,7 +249,7 @@ pub fn compile_source_routing_rules(
             if a == b {
                 continue;
             }
-            let n_paths = rt.switch_paths(g, a, b).len();
+            let n_paths = rt.get_or_compute(g, a, b).paths().len();
             let entry = set.per_switch.entry(a).or_default();
             for pid in 0..n_paths {
                 entry.insert(Rule {

@@ -1,13 +1,15 @@
 //! Property tests for the shared route plane: the parallel build is
-//! bit-identical for every worker count, and the failure overlay equals
-//! a from-scratch masked recomputation for random failed-link sets.
+//! bit-identical for every worker count, and the failure rule's answer
+//! equals a from-scratch masked recomputation for random failed-link
+//! sets.
 
 use netgraph::{yen, Graph, LinkId, NodeId, NodeKind};
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use routing::SharedRouteTable;
+use routing::ksp::{switch_paths_under, MaskedPaths};
+use routing::RouteTable;
 
 /// Connected random switch graph: spanning tree plus `extra` links.
 fn random_connected(n: usize, extra: usize, seed: u64) -> Graph {
@@ -54,15 +56,16 @@ proptest! {
     ) {
         let g = random_connected(n, extra, seed);
         let pairs = some_pairs(n);
-        let one = SharedRouteTable::build_for_pairs_with_threads(&g, k, &pairs, 1);
+        let one = RouteTable::build_for_pairs_with_threads(&g, k, &pairs, 1);
         for threads in [2usize, 3, 7] {
-            let many = SharedRouteTable::build_for_pairs_with_threads(&g, k, &pairs, threads);
+            let many = RouteTable::build_for_pairs_with_threads(&g, k, &pairs, threads);
             prop_assert_eq!(&many, &one, "threads = {}", threads);
         }
     }
 
-    /// For a random failed-link set, the overlay answer for *every* pair
-    /// — recomputed or reused — equals a from-scratch masked Yen run.
+    /// For a random failed-link set, the failure rule's answer for
+    /// *every* pair — recomputed or reused — equals a from-scratch
+    /// masked Yen run.
     #[test]
     fn overlay_equals_from_scratch_rebuild(
         n in 4usize..12, extra in 0usize..10, seed in any::<u64>(),
@@ -70,17 +73,19 @@ proptest! {
     ) {
         let g = random_connected(n, extra, seed);
         let pairs = some_pairs(n);
-        let table = SharedRouteTable::build_for_pairs(&g, k, &pairs);
+        let table = RouteTable::build_for_pairs(&g, k, &pairs);
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xfa11);
         let mut links: Vec<LinkId> = g.link_ids().collect();
         links.shuffle(&mut rng);
         let down: Vec<LinkId> = links.into_iter().take(nfail).collect();
-        let ov = table.overlay(&g, &down);
+        let is_down = |l| down.contains(&l);
+        let mut masked = MaskedPaths::new();
         for &(a, b) in &pairs {
             let want = yen::k_shortest_paths_by(&g, a, b, k, |l| {
-                if down.contains(&l) { f64::INFINITY } else { 1.0 }
+                if is_down(l) { f64::INFINITY } else { 1.0 }
             });
-            let got = table.switch_paths_with(&ov, a, b).unwrap();
+            let routes = table.get(a, b).unwrap();
+            let got = switch_paths_under(&g, k, (a, b), routes, is_down, &mut masked);
             prop_assert_eq!(got, &want[..], "pair {:?} -> {:?}", a, b);
         }
     }

@@ -14,7 +14,7 @@ use flowsim::provider::{MptcpProvider, PathProvider};
 use flowsim::sim::FlowSpec;
 use netgraph::{Graph, NodeId, Path, PathArena};
 use routing::source_routing::{self, SourceRouteHeader, INITIAL_TTL, MAX_HOPS};
-use routing::SharedRouteTable;
+use routing::RouteTable;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The ingress switches of an instance (every switch with a server),
@@ -227,7 +227,7 @@ pub fn check_with_truncation(
                 .filter_map(move |&b| (a != b).then_some((a, b)))
         })
         .collect();
-    let rt = SharedRouteTable::build_for_pairs(g, k, &pairs);
+    let rt = RouteTable::build_for_pairs(g, k, &pairs);
     let mut out = Vec::new();
     let mut pair_index = 0usize;
     for (&a, &sa) in &ingress {
@@ -236,8 +236,9 @@ pub fn check_with_truncation(
                 continue;
             }
             let paths = rt
-                .switch_paths(a, b)
+                .get(a, b)
                 .expect("ingress pair covered by the table")
+                .paths()
                 .to_vec();
             let paths = if pair_index < truncate_pairs {
                 Vec::new()
