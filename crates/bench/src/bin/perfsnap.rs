@@ -20,8 +20,11 @@
 //! (`VmHWM`) sampled after the workload (0 on non-Linux hosts).
 //! `--smoke` shrinks the flow rounds for CI. `--check <path>` compares
 //! the fresh numbers against a committed snapshot and fails (exit 1) if
-//! any shared workload's `events_per_s` drops below half the committed
-//! value — the regression floor CI enforces.
+//! any committed workload's `events_per_s` drops below half the
+//! committed value — the regression floor CI enforces. The committed
+//! snapshot must come from a run of the same kind: a `--smoke` run is
+//! checked against `BENCH_sim_smoke.json`, a full run against
+//! `BENCH_sim.json`, and a mismatched `smoke` flag fails the check.
 
 use flat_tree::PodMode;
 use flowsim::{
@@ -399,9 +402,10 @@ struct AllocRecord {
 }
 
 /// What `--check` reads from a committed snapshot; every other key is
-/// skipped, so only a missing name or rate fails the parse.
+/// skipped, so only a missing `smoke` flag, name or rate fails the parse.
 #[derive(Deserialize)]
 struct Floors {
+    smoke: bool,
     workloads: Vec<Floor>,
 }
 
@@ -438,15 +442,16 @@ impl Snapshot {
     }
 }
 
-/// Enforces the regression floor: every committed workload must be in
-/// the fresh run and reach [`FLOOR_FRACTION`] of its committed
-/// `events_per_s`. Returns the violations.
+/// Enforces the regression floor: the committed snapshot must be of the
+/// same kind (`smoke` flag) as the fresh run, and every committed
+/// workload must be in the fresh run and reach [`FLOOR_FRACTION`] of its
+/// committed `events_per_s`. Returns the violations.
 ///
 /// Degenerate values on *either* side are violations, not skips: a
 /// fresh NaN/zero rate means the run measured nothing, and a committed
 /// NaN/zero/unparsable floor means the snapshot itself is unusable as a
 /// gate. Workloads only in the fresh run have no floor yet.
-fn check_floors(fresh: &[Record], committed: &str) -> Vec<String> {
+fn check_floors(fresh: &BenchFile, committed: &str) -> Vec<String> {
     let floors: Floors = match serde_json::from_str(committed) {
         Ok(floors) => floors,
         Err(e) => {
@@ -457,10 +462,19 @@ fn check_floors(fresh: &[Record], committed: &str) -> Vec<String> {
             )]
         }
     };
+    if floors.smoke != fresh.smoke {
+        return vec![format!(
+            "committed snapshot has smoke = {} but this run has smoke = {}: \
+             smoke and full rates are not comparable — check a --smoke run \
+             against BENCH_sim_smoke.json and a full run against BENCH_sim.json",
+            floors.smoke, fresh.smoke
+        )];
+    }
     let mut violations = Vec::new();
     for Floor { name, events_per_s } in floors.workloads {
         let floor = events_per_s;
         let Some(got) = fresh
+            .workloads
             .iter()
             .find(|r| r.name == name)
             .map(|r| r.events_per_s)
@@ -615,7 +629,7 @@ fn main() {
     if let Some(check_path) = &args.check {
         match std::fs::read_to_string(check_path) {
             Ok(committed) => {
-                let violations = check_floors(&file.workloads, &committed);
+                let violations = check_floors(&file, &committed);
                 if !violations.is_empty() {
                     for v in &violations {
                         eprintln!("perfsnap: FLOOR VIOLATION {v}");
@@ -679,20 +693,24 @@ mod tests {
         assert!(v[0].contains("zero_wall"), "{v:?}");
     }
 
-    /// Fresh records with the given `events_per_s`.
-    fn fresh(entries: &[(&str, f64)]) -> Vec<Record> {
-        entries
-            .iter()
-            .map(|&(name, events_per_s)| Record {
-                name: name.to_string(),
-                wall_ms: 1.0,
-                events: 1,
-                events_per_s,
-                peak_rss_kb: 0,
-                retries: None,
-                alloc: None,
-            })
-            .collect()
+    /// A fresh full-scale run with the given `events_per_s`.
+    fn fresh(entries: &[(&str, f64)]) -> BenchFile {
+        BenchFile {
+            schema: "bench_sim/v3".to_string(),
+            smoke: false,
+            workloads: entries
+                .iter()
+                .map(|&(name, events_per_s)| Record {
+                    name: name.to_string(),
+                    wall_ms: 1.0,
+                    events: 1,
+                    events_per_s,
+                    peak_rss_kb: 0,
+                    retries: None,
+                    alloc: None,
+                })
+                .collect(),
+        }
     }
 
     /// A committed `bench_sim/v3` body with raw `events_per_s` tokens.
@@ -787,6 +805,24 @@ mod tests {
         };
         let json = serde_json::to_string_pretty(&file).unwrap();
         assert!(json.contains("\"events_per_s\": 50.0"), "{json}");
-        assert!(check_floors(&file.workloads, &json).is_empty());
+        assert!(check_floors(&file, &json).is_empty());
+    }
+
+    /// A smoke run gated against a full-scale snapshot (or the reverse)
+    /// fails, whatever the rates: the two are not comparable.
+    #[test]
+    fn smoke_flag_mismatch_is_a_violation() {
+        let full = body(&[("sim", "1000.0")]);
+        let smoke = full.replace("\"smoke\": false", "\"smoke\": true");
+        let mut run = fresh(&[("sim", 900.0)]);
+        assert!(check_floors(&run, &full).is_empty());
+        for (fresh_smoke, committed) in [(true, &full), (false, &smoke)] {
+            run.smoke = fresh_smoke;
+            let v = check_floors(&run, committed);
+            assert_eq!(v.len(), 1, "fresh smoke = {fresh_smoke}");
+            assert!(v[0].contains("not comparable"), "{v:?}");
+        }
+        run.smoke = true;
+        assert!(check_floors(&run, &smoke).is_empty());
     }
 }

@@ -211,19 +211,26 @@ impl Layout {
         Ok(Layout { params, converters })
     }
 
-    /// Finds the blade-B converter at `(pod, side, row, col)`.
+    /// Finds the blade-B converter at `(pod, side, row, col)` by its
+    /// position in [`Layout::new`]'s enumeration order.
     /// Panics if out of range — internal wiring code only.
     pub fn blade_b(&self, pod: usize, side: PodSide, row: usize, col: usize) -> &ConverterInfo {
-        self.converters
-            .iter()
-            .find(|c| {
-                c.pod == pod
-                    && c.side == side
-                    && c.blade == Blade::B
-                    && c.row == row
-                    && c.col == col
-            })
-            .expect("blade-B converter out of range")
+        let p = &self.params;
+        let half = p.cols_per_side();
+        assert!(
+            pod < p.clos.pods && row < p.m && col < half,
+            "blade-B converter out of range"
+        );
+        let side_idx = match side {
+            PodSide::Left => 0,
+            PodSide::Right => 1,
+        };
+        let c = &self.converters[((pod * 2 + side_idx) * half + col) * (p.m + p.n) + row];
+        debug_assert!(
+            c.pod == pod && c.side == side && c.blade == Blade::B && c.row == row && c.col == col,
+            "converter enumeration order changed"
+        );
+        c
     }
 
     /// All inter-pod side pairs `(right converter id, left converter id)`,
@@ -342,6 +349,94 @@ mod tests {
         p.wrap_side_links = false;
         let l = Layout::new(p).unwrap();
         assert_eq!(l.side_pairs().len(), 6); // 3 boundaries * 2 columns
+    }
+
+    /// Layouts covering m = 0, m > 1, unwrapped side wiring and the
+    /// benchmark-scale shapes.
+    fn lookup_layouts() -> Vec<Layout> {
+        let mut unwrapped = FlatTreeParams::new(ClosParams::mini(), 1, 2);
+        unwrapped.wrap_side_links = false;
+        [
+            FlatTreeParams::new(ClosParams::mini(), 1, 1),
+            FlatTreeParams::new(ClosParams::mini(), 0, 2),
+            unwrapped,
+            FlatTreeParams::new(topology::fat_tree(8), 1, 2),
+            FlatTreeParams::new(topology::fat_tree(8), 3, 0),
+            FlatTreeParams::new(ClosParams::topo2(), 2, 1),
+            FlatTreeParams::new(ClosParams::topo2(), 0, 1),
+        ]
+        .into_iter()
+        .map(|p| Layout::new(p).unwrap())
+        .collect()
+    }
+
+    /// Reference for `blade_b`: a linear scan over every converter.
+    fn scan_blade_b(l: &Layout, pod: usize, side: PodSide, row: usize, col: usize) -> usize {
+        l.converters
+            .iter()
+            .find(|c| {
+                c.pod == pod
+                    && c.side == side
+                    && c.blade == Blade::B
+                    && c.row == row
+                    && c.col == col
+            })
+            .unwrap()
+            .id
+    }
+
+    #[test]
+    fn blade_b_lookup_returns_the_matching_converter() {
+        for l in lookup_layouts() {
+            let mut seen = 0;
+            for c in l.converters.iter().filter(|c| c.blade == Blade::B) {
+                assert_eq!(l.blade_b(c.pod, c.side, c.row, c.col), c);
+                seen += 1;
+            }
+            let p = l.params;
+            assert_eq!(seen, p.clos.pods * p.clos.edges_per_pod * p.m);
+        }
+    }
+
+    #[test]
+    fn side_pairs_match_a_scan_based_reference() {
+        for l in lookup_layouts() {
+            let p = l.params;
+            let half = p.cols_per_side();
+            let mut want = Vec::new();
+            let boundaries = if p.wrap_side_links {
+                p.clos.pods
+            } else {
+                p.clos.pods - 1
+            };
+            for pod in 0..boundaries {
+                let next = (pod + 1) % p.clos.pods;
+                for row in 0..p.m {
+                    for col_left in 0..half {
+                        let col_right = interpod::side_peer_column(row, col_left, half);
+                        want.push((
+                            scan_blade_b(&l, pod, PodSide::Right, row, col_right),
+                            scan_blade_b(&l, next, PodSide::Left, row, col_left),
+                        ));
+                    }
+                }
+            }
+            assert_eq!(l.side_pairs(), want, "{p:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "blade-B converter out of range")]
+    fn blade_b_rejects_a_row_past_m() {
+        let l = layout(); // m = 1
+        l.blade_b(0, PodSide::Left, 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "blade-B converter out of range")]
+    fn blade_b_rejects_any_row_when_m_is_zero() {
+        let l = Layout::new(FlatTreeParams::new(ClosParams::mini(), 0, 2)).unwrap();
+        l.blade_b(0, PodSide::Right, 0, 0);
     }
 
     #[test]

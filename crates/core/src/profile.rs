@@ -45,6 +45,9 @@ pub fn profile_mn(clos: &ClosParams) -> Vec<ProfilePoint> {
                 Err(_) => continue,
             };
             let inst = ft.instantiate(&ModeAssignment::uniform(clos.pods, PodMode::Global));
+            // Sampled above 1,024 servers. The source set is part of the
+            // result: another one gives other APLs, and possibly another
+            // split.
             let apl = if clos.total_servers() > 1024 {
                 avg_server_path_length_sampled(&inst.net.graph, 128)
             } else {
@@ -61,8 +64,7 @@ pub fn profile_mn(clos: &ClosParams) -> Vec<ProfilePoint> {
     }
     points.sort_by(|a, b| {
         a.global_apl
-            .partial_cmp(&b.global_apl)
-            .unwrap_or(std::cmp::Ordering::Equal)
+            .total_cmp(&b.global_apl)
             .then_with(|| b.m.cmp(&a.m))
     });
     points

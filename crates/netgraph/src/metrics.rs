@@ -17,39 +17,81 @@ pub fn avg_server_path_length(g: &Graph) -> Option<f64> {
     if servers.len() < 2 {
         return None;
     }
-    let mut total = 0usize;
-    let mut pairs = 0usize;
-    for &s in &servers {
-        let d = hop_distances(g, s);
-        for &t in &servers {
-            if t != s && d[t.idx()] != usize::MAX {
-                total += d[t.idx()];
-                pairs += 1;
-            }
-        }
-    }
-    (pairs > 0).then(|| total as f64 / pairs as f64)
+    server_pair_apl(g, &servers)
 }
 
-/// Like [`avg_server_path_length`] but BFS-ing from at most
-/// `max_sources` evenly spaced source servers — an unbiased structural
-/// sample for large networks (profiling sweeps over Table 2-sized
-/// topologies would otherwise cost minutes per candidate).
+/// Like [`avg_server_path_length`] but measured from at most
+/// `max_sources` evenly spaced source servers (every `stride`-th server,
+/// `stride = servers / min(max_sources, servers)`) to every server.
+/// Profiling sweeps sample on large networks, and the sample is part of
+/// their result: another source set gives other APLs, and possibly
+/// another `(m, n)` choice. `max_sources == 0` gives `None`.
 pub fn avg_server_path_length_sampled(g: &Graph, max_sources: usize) -> Option<f64> {
     let servers = g.servers();
     if servers.len() < 2 || max_sources == 0 {
         return None;
     }
     let stride = (servers.len() / max_sources.min(servers.len())).max(1);
+    let sources: Vec<NodeId> = servers.iter().step_by(stride).copied().collect();
+    server_pair_apl(g, &sources)
+}
+
+/// Sum of hop distances from each of the `sources` servers to every
+/// other server reachable from it, divided by the number of such
+/// ordered pairs.
+///
+/// Distances follow [`hop_distances`] exactly (servers forward only as
+/// the source), but the BFS is bit-parallel: 64 sources share one pass,
+/// each node carrying a `u64` of the sources that have reached it. A
+/// server newly reached at level `l` by `c` sources adds `c · l` to the
+/// integer total, so the result equals the per-source sum bit for bit.
+fn server_pair_apl(g: &Graph, sources: &[NodeId]) -> Option<f64> {
+    let n = g.node_count();
+    let is_server: Vec<bool> = g.node_ids().map(|v| !g.node(v).kind.is_transit()).collect();
+    let mut seen = vec![0u64; n];
+    let mut front = vec![0u64; n];
+    let mut next = vec![0u64; n];
+    let mut cur: Vec<NodeId> = Vec::new();
+    let mut reached: Vec<NodeId> = Vec::new();
     let mut total = 0usize;
     let mut pairs = 0usize;
-    for &s in servers.iter().step_by(stride) {
-        let d = hop_distances(g, s);
-        for &t in &servers {
-            if t != s && d[t.idx()] != usize::MAX {
-                total += d[t.idx()];
-                pairs += 1;
+    for chunk in sources.chunks(64) {
+        seen.fill(0);
+        for (i, &s) in chunk.iter().enumerate() {
+            seen[s.idx()] |= 1u64 << i;
+            front[s.idx()] |= 1u64 << i;
+            cur.push(s);
+        }
+        let mut level = 0usize;
+        while !cur.is_empty() {
+            level += 1;
+            for &u in &cur {
+                let bits = std::mem::take(&mut front[u.idx()]);
+                for &(v, _) in g.neighbors(u) {
+                    let new = bits & !seen[v.idx()];
+                    if new != 0 {
+                        if next[v.idx()] == 0 {
+                            reached.push(v);
+                        }
+                        seen[v.idx()] |= new;
+                        next[v.idx()] |= new;
+                    }
+                }
             }
+            cur.clear();
+            for &v in &reached {
+                let new = std::mem::take(&mut next[v.idx()]);
+                if is_server[v.idx()] {
+                    // A server reached here is a destination, never a relay.
+                    let c = new.count_ones() as usize;
+                    total += c * level;
+                    pairs += c;
+                } else {
+                    front[v.idx()] = new;
+                    cur.push(v);
+                }
+            }
+            reached.clear();
         }
     }
     (pairs > 0).then(|| total as f64 / pairs as f64)
